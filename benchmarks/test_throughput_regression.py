@@ -57,13 +57,25 @@ Asserted floors:
   explicit-batching win without the call sites opting in.  Measured
   where round-trips are real (frames over kernel sockets to worker
   processes); connection warmup is excluded from the timed window.
+* **autopipe at low load** (PR 13 tentpole): the same issuers under
+  Poisson arrivals at 0.5x the measured per-call capacity.  Batching
+  must not be bought with waiting: the autopipe's sojourn p99 stays
+  within **8x** the per-call p99 (interleaved pairs, median of each
+  side, exact nearest-rank percentiles).  The bound is a tripwire for
+  "a batch waits to fill" — the size-triggered flush this replaced
+  measured 64x here — not a latency target: the design target is 2x,
+  which the drain meets with 2 issuers, but with 8 issuers + 8 flusher
+  threads under one GIL the extra thread hop costs ~50 us of client
+  CPU per operation at batch size ~1.3 and p99 is hand-off starvation,
+  so this configuration measures 2-6x on a 2-core host.
 
 Besides the closed-loop grid, the JSON carries **open-loop** rows
 (``workload: "openloop-ycsb-C"``): Poisson-arrival runs at offered
 loads swept around the measured per-call capacity, reporting achieved
 ops/s and p50/p99 *sojourn* time (queueing + service, measured from
 each request's scheduled arrival — see :mod:`repro.bench.openloop`).
-Sweep rows are report-only; only the saturation pair is asserted.
+Sweep rows are report-only; the saturation pair and the 0.5x p99
+ratio are asserted, each on its own median-of-N measurement.
 
 Every grid row also records the merged per-operation ``p50_us`` /
 ``p99_us`` latency (report-only — no floor asserts on percentiles), so
@@ -210,6 +222,11 @@ OPENLOOP_CLIENT = ("redis", {"shards": 4, "transport": "tcp"})
 #: offered loads for the report-only sweep, as fractions of the measured
 #: per-call saturation capacity: under, at, and past the knee
 OPENLOOP_LOAD_MULTIPLIERS = (0.5, 1.0, 2.0)
+#: the low-load floor: at this fraction of per-call capacity the
+#: autopipe's sojourn p99 may be at most this multiple of per-call's
+#: (measured 2-6x at 8 issuers; see the module docstring for why not 2x)
+AUTOPIPE_LATENCY_LOAD = 0.5
+AUTOPIPE_LATENCY_BOUND = 8.0
 
 #: CPU-tiered shard floor, shared with fig10s (repro.experiments.scale
 #: owns the tier table): 2x with 4+ usable cores (every CI runner),
@@ -380,6 +397,27 @@ def _autopipe_floor() -> tuple[float, float, float]:
     return auto / percall, percall, auto
 
 
+def _autopipe_latency_ratio(percall_capacity: float) -> tuple[float, float, float]:
+    """(ratio, per-call p99 us, autopipe p99 us) of sojourn p99 at
+    ``AUTOPIPE_LATENCY_LOAD`` x the per-call capacity."""
+    offered = percall_capacity * AUTOPIPE_LATENCY_LOAD
+
+    def measure(samples: int) -> tuple[float, float]:
+        # interleaved, so a slow phase of the host lands on both sides
+        pairs = [
+            (_openloop_report(0, offered).p99_us,
+             _openloop_report(AUTOPIPE_BATCH, offered).p99_us)
+            for _ in range(samples)
+        ]
+        return (statistics.median(percall for percall, _ in pairs),
+                statistics.median(auto for _, auto in pairs))
+
+    percall, auto = measure(ASSERT_SAMPLES)
+    if auto / percall > AUTOPIPE_LATENCY_BOUND:  # noise escalation, as above
+        percall, auto = measure(ASSERT_SAMPLES + 2)
+    return auto / percall, percall, auto
+
+
 def test_throughput_regression_grid(benchmark):
     def run_grid():
         results = []
@@ -458,6 +496,8 @@ def test_throughput_regression_grid(benchmark):
         SQL_TCP_SHARD_PAIR, floor=0.5, features_factory=FeatureSet.full
     )
     autopipe_speedup, autopipe_percall, autopipe_fast = _autopipe_floor()
+    latency_ratio, latency_percall, latency_auto = _autopipe_latency_ratio(
+        autopipe_percall)
     mvcc_parity = _mvcc_read_parity()
     mixed_rw, mixed_mvcc = _mixed_purge_throughputs(ASSERT_SAMPLES)
     if mixed_mvcc / mixed_rw < 2.0:  # same noise escalation as the floors
@@ -483,6 +523,8 @@ def test_throughput_regression_grid(benchmark):
         "asserted_sql_tcp_vs_pipe_ratio_at_8_threads": round(sql_tcp_ratio, 2),
         "asserted_autopipe_speedup_at_8_issuers": round(autopipe_speedup, 2),
         "autopipe_floor": 2.0,
+        "asserted_autopipe_p99_ratio_at_half_load": round(latency_ratio, 2),
+        "autopipe_latency_bound": AUTOPIPE_LATENCY_BOUND,
         "openloop_issuers": OPENLOOP_ISSUERS,
         "tcp_router_tax_floor": 0.5,
         "shard_floor_asserted_min": SHARD_FLOOR_MIN,
@@ -536,6 +578,13 @@ def test_throughput_regression_grid(benchmark):
         f"per-call front end ({autopipe_fast:.0f} vs {autopipe_percall:.0f} "
         "ops/s); the PR 8 tentpole requires implicit coalescing to buy "
         ">= 2x without the call sites opting in"
+    )
+    assert latency_ratio <= AUTOPIPE_LATENCY_BOUND, (
+        f"autopipe sojourn p99 at {AUTOPIPE_LATENCY_LOAD}x the per-call "
+        f"capacity is {latency_ratio:.2f}x the per-call p99 "
+        f"({latency_auto:.0f} vs {latency_percall:.0f} us); the PR 13 "
+        f"tentpole bounds it at {AUTOPIPE_LATENCY_BOUND}x — batches must "
+        "follow the arrival rate, not wait to fill"
     )
     assert tcp_ratio >= 0.5, (
         f"tcp-transport 4-shard minikv at 8 threads (full-GDPR features) "

@@ -31,9 +31,10 @@ This runner models that front end:
   ``autopipe_batch=0`` every call is a bare per-call round-trip — the
   unbatched baseline of the ≥ 2x assertion.
 
-Results merge into one :class:`~repro.common.stats.Histogram` per run;
-the report carries offered vs achieved load and the p50/p99 sojourn
-tails that go to ``BENCH_throughput.json``'s open-loop columns.
+Every sojourn time is kept; the report carries offered vs achieved load
+and the exact (nearest-rank) p50/p99 sojourn tails that go to
+``BENCH_throughput.json``'s open-loop columns — a √2-bucket histogram
+cannot resolve the latency ratio asserted on them.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import time
 from dataclasses import dataclass
 
 from repro.clients.futures import ResultFuture
-from repro.common.stats import Histogram
 
 
 @dataclass
@@ -61,11 +61,11 @@ class OpenLoopConfig:
     #: arrival-schedule RNG seed (per-issuer streams derive from it)
     seed: int = 11
     #: unmeasured per-issuer operations replayed before the start barrier.
-    #: Issuer threads pay real one-time setup on their first request —
-    #: most visibly the per-thread TLS channel's keystream pool expansion
-    #: (see :class:`~repro.crypto.tls.LoopbackSecureLink`) — which is
-    #: connection establishment, not workload service time.  YCSB
-    #: excludes connection setup from its measured window; so does this.
+    #: Issuer threads pay one-time setup on their first request (the
+    #: per-thread TLS channel pair, first use of each shard socket),
+    #: which is connection establishment, not workload service time.
+    #: YCSB excludes connection setup from its measured window; so does
+    #: this.
     warmup_ops: int = 32
 
 
@@ -82,6 +82,10 @@ class OpenLoopReport:
     elapsed_s: float
     #: wire round-trips the issuers' autopipes performed (0 per-call)
     flushes: int
+    #: operations per autopipe round-trip (0 per-call)
+    batch_mean: float
+    #: enqueues that found ``autopipe_batch`` operations already pending
+    blocked: int
 
     def as_row(self) -> dict:
         return {
@@ -94,23 +98,32 @@ class OpenLoopReport:
             "failed": self.failed,
             "p50_us": round(self.p50_us, 1),
             "p99_us": round(self.p99_us, 1),
+            "batch_mean": round(self.batch_mean, 2),
+            "blocked": self.blocked,
         }
+
+
+def nearest_rank(ordered: list, pct: float) -> float:
+    """Exact percentile of an ascending sample (0.0 when empty)."""
+    if not ordered:
+        return 0.0
+    return ordered[max(math.ceil(pct / 100.0 * len(ordered)), 1) - 1]
 
 
 class _IssuerTally:
     """One issuer thread's private accounting (merged after the join)."""
 
-    __slots__ = ("hist", "completed", "failed", "flushes", "last_done")
+    __slots__ = ("sojourns_us", "completed", "failed", "autopipe", "last_done")
 
     def __init__(self) -> None:
-        self.hist = Histogram()
+        self.sojourns_us: list[float] = []
         self.completed = 0
         self.failed = 0
-        self.flushes = 0
+        self.autopipe = None  # the issuer's exited AutoPipe (its counters)
         self.last_done = 0.0
 
     def record(self, sojourn_s: float, ok: bool) -> None:
-        self.hist.record(max(sojourn_s, 0.0) * 1e6)
+        self.sojourns_us.append(max(sojourn_s, 0.0) * 1e6)
         if ok:
             self.completed += 1
         else:
@@ -122,8 +135,9 @@ def _issue(client, op, scheduled: float, tally: _IssuerTally) -> None:
     """Issue one operation; stamp its completion when it resolves.
 
     Under an active autopipe a batchable operation returns a pending
-    future — its ``.then()`` callback fires at flush time, which is when
-    the response actually exists; everything else completes inline.
+    future — its ``.then()`` callback fires (on the autopipe's flusher
+    thread) when its batch settles, which is when the response actually
+    exists; everything else completes inline.
     """
     try:
         response = op.execute(client)
@@ -188,8 +202,8 @@ def _issuer_loop(client, operations, config: OpenLoopConfig, index: int,
     if config.autopipe_batch > 0:
         with client.autopipe(max_batch=config.autopipe_batch) as auto:
             drive()
-            # context exit flushes the tail batch; callbacks have fired
-        tally.flushes = auto.flushes
+            # context exit waits out the tail batch; callbacks have fired
+        tally.autopipe = auto
     else:
         drive()
 
@@ -229,23 +243,21 @@ def run_open_loop(client, operations, config: OpenLoopConfig) -> OpenLoopReport:
     for thread in threads:
         thread.join()
 
-    merged = Histogram()
-    completed = failed = flushes = 0
-    last_done = start_box[0]
-    for tally in tallies:
-        merged.merge(tally.hist)
-        completed += tally.completed
-        failed += tally.failed
-        flushes += tally.flushes
-        last_done = max(last_done, tally.last_done)
+    sojourns_us = sorted(us for tally in tallies for us in tally.sojourns_us)
+    completed = sum(tally.completed for tally in tallies)
+    autopipes = [tally.autopipe for tally in tallies if tally.autopipe is not None]
+    flushes = sum(auto.flushes for auto in autopipes)
+    last_done = max([start_box[0]] + [tally.last_done for tally in tallies])
     elapsed = max(last_done - start_box[0], 1e-9)
     return OpenLoopReport(
         offered_ops_s=config.offered_load_ops_s,
         achieved_ops_s=completed / elapsed,
         completed=completed,
-        failed=failed,
-        p50_us=merged.percentile_us(50.0),
-        p99_us=merged.percentile_us(99.0),
+        failed=sum(tally.failed for tally in tallies),
+        p50_us=nearest_rank(sojourns_us, 50.0),
+        p99_us=nearest_rank(sojourns_us, 99.0),
         elapsed_s=elapsed,
         flushes=flushes,
+        batch_mean=sum(auto.ops for auto in autopipes) / flushes if flushes else 0.0,
+        blocked=sum(auto.blocked_enqueues for auto in autopipes),
     )

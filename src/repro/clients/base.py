@@ -320,8 +320,18 @@ class GDPRPipeline(ABC):
 
     def _flush(self, raise_errors: bool) -> list:
         """Drain + run the batch, settle every future, fire callbacks."""
+        return self._run(*self._take(), raise_errors)
+
+    def _take(self) -> tuple[list, list[ResultFuture]]:
+        """Detach everything queued (root only).  The only step of a flush
+        that touches the queue: an autopipe does it under its lock."""
         ops, self._ops = self._ops, []
         futures, self._futures = self._futures, []
+        return ops, futures
+
+    def _run(self, ops: list, futures: list[ResultFuture], raise_errors: bool) -> list:
+        """Run a taken batch, settle its futures, fire their callbacks.
+        Touches no queue state, so issuers may keep queueing meanwhile."""
         if not ops:
             return []
         try:
@@ -381,21 +391,21 @@ class GDPRClient(ABC):
         """
         return None
 
-    def autopipe(self, max_batch: int = 128, flush_on_read: bool = True) -> AutoPipe:
+    def autopipe(self, max_batch: int = 128) -> AutoPipe:
         """An implicit pipeline context for this thread (or asyncio task).
 
         Inside ``with client.autopipe():``, bare calls on the batchable
         operation surface enqueue onto one shared :meth:`pipeline` and
-        return :class:`~repro.clients.futures.ResultFuture` objects; the
-        batch flushes on read-of-a-future, at ``max_batch`` queued
-        operations, on an event-loop tick, before any non-batchable
-        operation, and at context exit — straight-line code rides the
-        explicit-batch machinery without hand-building batches.  Results
-        are byte-identical to the equivalent explicit batch; with
-        ``flush_on_read=False`` reading a future never triggers the
-        flush (it waits, for externally-driven flush schedules).
+        return :class:`~repro.clients.futures.ResultFuture` objects.  A
+        background drain runs whatever is queued as one batch whenever
+        the wire is idle (a lone call leaves at once; under load batches
+        grow up to ``max_batch``, past which enqueueing blocks), and
+        non-batchable operations and context exit first wait for
+        everything queued — straight-line code rides the explicit-batch
+        machinery without hand-building batches.  Results are
+        byte-identical to the equivalent explicit batch.
         """
-        return AutoPipe(self, max_batch=max_batch, flush_on_read=flush_on_read)
+        return AutoPipe(self, max_batch=max_batch)
 
     # ------------------------------------------------------------------
     # Load phase

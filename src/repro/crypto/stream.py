@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 
 _MASK = 0xFFFFFFFF
 
@@ -92,6 +93,28 @@ def xor_bytes(data: bytes, stream: bytes) -> bytes:
     )
 
 
+#: ``(key, nonce, size) -> keystream`` for every pool expanded so far in
+#: this process.  The ARX expansion of a 64 KiB pool costs ~37 ms of pure
+#: Python, and every TLS channel (one pair per calling thread per client)
+#: and at-rest cipher asks for the same few ``(key, nonce)`` pairs — the
+#: keys are deployment settings, so the map stays a handful of entries.
+#: The values are immutable ``bytes``; the lock only keeps threads that
+#: connect at the same instant from each paying the expansion.
+_expansions: dict[tuple[bytes, int, int], bytes] = {}
+_expansions_lock = threading.Lock()
+
+
+def _expand(key: bytes, nonce: int, size: int) -> bytes:
+    ident = (bytes(key), nonce, size)
+    pool = _expansions.get(ident)
+    if pool is None:
+        with _expansions_lock:
+            pool = _expansions.get(ident)
+            if pool is None:
+                pool = _expansions[ident] = StreamCipher(key, nonce).keystream(size)
+    return pool
+
+
 class KeystreamPool:
     """Precomputed keystream shared by many small encrypt operations.
 
@@ -102,12 +125,16 @@ class KeystreamPool:
     overhead ratios the paper measures.  Instead we expand the cipher once
     into a pool and give each object a deterministic offset into it —
     per-byte work stays real (the XOR walks every byte) but cheap.
+
+    The expansion is read-only after construction, so pools built with
+    the same ``(key, nonce, size)`` share one copy of it: opening another
+    connection costs a dict lookup, not another expansion.
     """
 
     def __init__(self, key: bytes, nonce: int, size: int = 1 << 16) -> None:
         if size <= 0:
             raise ValueError("pool size must be positive")
-        self._pool = StreamCipher(key, nonce).keystream(size)
+        self._pool = _expand(key, nonce, size)
         self._size = size
 
     @property

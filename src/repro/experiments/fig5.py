@@ -26,6 +26,19 @@ CONFIGS = (
 
 WORKLOAD_ORDER = ("controller", "customer", "processor", "regulator")
 
+#: fresh-session runs of each PostgreSQL configuration behind the
+#: indexed-vs-baseline read-side check.  The read side is a ~0.45 s sum
+#: at this scale and one run of it spreads +-20 % with 8 threads on a
+#: small host, so the check compares the best of interleaved runs.
+#: (Until the TLS channels shared their keystream pool, every workload
+#: run also timed ~0.4 s of per-thread channel set-up, a constant that
+#: hid both the spread and the signal.)
+READ_SIDE_ROUNDS = 3
+
+
+def _read_side(times: dict) -> float:
+    return times["customer"] + times["processor"] + times["regulator"]
+
 
 def run_config(
     label: str,
@@ -80,6 +93,13 @@ def run(
         row["space_factor"] = round(space.space_factor, 2)
         rows.append(row)
 
+    read_side = {label: [_read_side(times_by_config[label])]
+                 for label, _ in CONFIGS[1:]}
+    for _ in range(READ_SIDE_ROUNDS - 1):
+        for label, indexed in CONFIGS[1:]:
+            result, _ = run_config(label, indexed, records, operations, threads, seed)
+            read_side[label].append(_read_side(result["times"]))
+
     redis = times_by_config["redis"]
     pg = times_by_config["postgres"]
     pg_idx = times_by_config["postgres-metadata-index"]
@@ -110,8 +130,7 @@ def run(
         ("indexed configuration serves metadata queries via index scans",
          index_usage["postgres-metadata-index"] and not index_usage["postgres"]),
         ("indexed read-side completion within noise of (or better than) baseline",
-         (pg_idx["customer"] + pg_idx["processor"] + pg_idx["regulator"])
-         < 1.2 * (pg["customer"] + pg["processor"] + pg["regulator"])),
+         min(read_side["postgres-metadata-index"]) < 1.2 * min(read_side["postgres"])),
         ("all configurations pass correctness (>= 99%)",
          all(row["min_correct_pct"] >= 99.0 for row in rows)),
         ("Table 3: default space factor exceeds 3x (metadata explosion)",

@@ -182,3 +182,83 @@ class TestLoopbackSecureLink:
         for t in threads:
             t.join()
         assert errors == []
+
+
+class TestSharedExpansion:
+    """Pools with one ``(key, nonce, size)`` share a single expansion, and
+    sharing changed no byte: the constants below were recorded from the
+    per-instance expansion this replaced (commit a912cb3)."""
+
+    def test_same_parameters_share_one_expansion(self):
+        first = KeystreamPool(b"shared-key", nonce=7, size=256)
+        second = KeystreamPool(b"shared-key", nonce=7, size=256)
+        assert first._pool is second._pool
+        assert KeystreamPool(b"shared-key", nonce=8, size=256)._pool is not first._pool
+        assert KeystreamPool(b"shared-key", nonce=7, size=128)._pool is not first._pool
+
+    def test_second_channel_skips_the_expansion(self, monkeypatch):
+        SecureChannel(b"warm-key")
+        monkeypatch.setattr(
+            StreamCipher, "keystream",
+            lambda *a, **k: pytest.fail("expansion re-run for a cached pool"))
+        SecureChannel(b"warm-key")
+
+    def test_threads_opening_at_once_expand_once(self, monkeypatch):
+        import threading
+
+        calls = []
+        original = StreamCipher.keystream
+
+        def counting(self, length, counter=0):
+            calls.append(length)
+            return original(self, length, counter)
+
+        monkeypatch.setattr(StreamCipher, "keystream", counting)
+        start = threading.Barrier(8)
+        pools = []
+
+        def build():
+            start.wait(timeout=10)
+            pools.append(KeystreamPool(b"race-key", nonce=3, size=4096))
+
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(pools) == 8 and calls == [4096]
+        assert all(pool._pool is pools[0]._pool for pool in pools)
+
+    def test_ciphertext_matches_recorded_bytes(self):
+        assert KeystreamPool(b"key", nonce=1, size=64).slice(0, 64).hex() == (
+            "c98c5b00b6267a2d191e732c9d680f93bc11af319dc498d535d786e7777e59a8"
+            "ae8d9af4ed60856641036dd9f3e11e5ee8c8e87a4eac5c0c44cfce804a381824")
+        assert AtRestCipher().seal(
+            "user:0001", b"personal datum \xe2\x9c\x93"
+        ).hex() == "ca2cb1f114f4a27981c59707b2db18a17cec"
+        # offset 65530 crosses the 64 KiB pool boundary
+        assert FileCipher().apply(b"*3\r\n$3\r\nSET\r\n", 65530).hex() == \
+            "11d960d994f52af3ce70baeab1"
+        channel = SecureChannel()
+        assert channel.wrap(b"request-one").hex() == \
+            "00000000000000000b000000415ea47e73fd4f187a893d"
+        assert channel.wrap(b"request-two").hex() == \
+            "01000000000000000b00000013996f03d7ee94f095cc01"
+
+    def test_logs_written_before_the_change_still_replay(self, tmp_path):
+        from repro.minikv.aof import load_aof
+        from repro.minisql.wal import load_wal
+
+        aof = tmp_path / "old.aof"
+        aof.write_bytes(bytes.fromhex(
+            "0dca9711ddede861b999e16b697f3b3a81c82129aeaa6c6c3bfc765ac5c73510"
+            "66dc75aedb5e796a459caeb0f7d97dc9f12cba57ca10a7f4cba6da7c735d44ed"))
+        assert load_aof(str(aof), cipher=FileCipher()) == [
+            [b"SET", b"k1", b"v1"], [b"HSET", b"h", b"f", b"x"], [b"DEL", b"k1"]]
+        wal = tmp_path / "old.wal"
+        wal.write_bytes(bytes.fromhex(
+            "0df99d356ee22e3bed93c55963140a1829fc4231ecc5342ca554432419df700f"
+            "6d7441c5df3d3e3edb7c30e052fd18c3db1e30766c08e3b187acfe4e79ba7383"
+            "456db8986c17f81592f8aab0b7977b"))
+        assert load_wal(str(wal), cipher=FileCipher()) == [
+            ("insert", "t", 0, (1, "alice")), ("delete", "t", 0)]
