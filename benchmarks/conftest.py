@@ -19,21 +19,26 @@ import sys
 
 #: regenerated figure/table rows from the latest benchmark run land here
 #: (pytest's fd-level capture swallows per-test output of passing tests,
-#: so an artifact file is the reliable place to inspect them)
+#: so an artifact file is the reliable place to inspect them).  Untracked:
+#: every run rewrites it, and CI uploads it as an artifact.
 FIGURES_PATH = os.path.join(os.path.dirname(__file__), "..", "benchmark_figures.txt")
 
-
-def pytest_sessionstart(session):
-    """Start a fresh figures artifact for this run."""
-    with open(FIGURES_PATH, "w", encoding="utf-8") as handle:
-        handle.write("# Regenerated paper figures/tables from the latest "
-                     "`pytest benchmarks/ --benchmark-only` run\n\n")
+#: set by this session's first :func:`report`, which truncates the file
+#: (pytest never calls ``pytest_sessionstart`` from a non-root conftest,
+#: so a session hook cannot do it)
+_figures_started = False
 
 
 def report(result) -> None:
     """Record a regenerated figure/table and assert its shape checks."""
+    global _figures_started
     print(result.render(), file=sys.stderr)  # visible with -s / on failure
-    with open(FIGURES_PATH, "a", encoding="utf-8") as handle:
+    with open(FIGURES_PATH, "a" if _figures_started else "w",
+              encoding="utf-8") as handle:
+        if not _figures_started:
+            handle.write("# Regenerated paper figures/tables from the latest "
+                         "benchmark run\n\n")
+            _figures_started = True
         handle.write(result.render() + "\n\n")
     result.check()
 

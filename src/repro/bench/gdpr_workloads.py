@@ -50,7 +50,6 @@ from .operations import (
     is_optional_str,
     is_pair_list,
     metadata_for_key,
-    metadata_shared_with,
     metadata_user_is,
 )
 from .records import RecordCorpusConfig, key_for, make_record, user_for

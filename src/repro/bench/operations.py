@@ -68,17 +68,6 @@ def metadata_user_is(user: str) -> Callable:
     return check
 
 
-def metadata_shared_with(party: str) -> Callable:
-    """READ-METADATA-BY-SHR invariant: every SHR contains ``party``."""
-
-    def check(response) -> bool:
-        return isinstance(response, list) and all(
-            party in metadata.get("SHR", ()) for _, metadata in response
-        )
-
-    return check
-
-
 def metadata_for_key(key: str) -> Callable:
     """READ-METADATA-BY-KEY: absent, or a dict with all seven attributes."""
 

@@ -1,27 +1,19 @@
-"""Exact-oracle correctness checking for single-threaded GDPRbench runs.
+"""Exact-oracle shadow of the personal-data store.
 
 Section 4.2.3 defines correctness as "the percentage of query responses
 that match the results expected by the benchmark".  Under concurrency the
 expected result of a query is racy, so the default validators check
-invariants; in single-threaded mode we can do what GDPRbench itself does:
+invariants; a single-threaded run can do what GDPRbench itself does:
 maintain a shadow copy of the personal-data store and compare every
 response against it exactly.
 
-:class:`ShadowStore` mirrors the client operations in plain Python;
-:func:`run_with_oracle` executes a workload single-threaded, applying each
-operation to both the real client and the shadow, and reports exact
-correctness.
+:class:`ShadowStore` mirrors the client operations in plain Python, one
+method per taxonomy operation (``read-data-by-key`` -> ``read_data_by_key``).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 from repro.gdpr.record import PersonalRecord
-
-from .runtime import RunReport
-from repro.common.stats import StatsCollector
 
 
 class ShadowStore:
@@ -177,99 +169,3 @@ class ShadowStore:
     def __len__(self) -> int:
         return len(self._records)
 
-
-@dataclass
-class OracleMismatch:
-    """One response that diverged from the shadow's expectation."""
-
-    operation: str
-    expected: object
-    actual: object
-
-
-def _canonical(value):
-    """Order-insensitive comparison form for list responses."""
-    if isinstance(value, list):
-        return sorted(value, key=repr)
-    return value
-
-
-class OracleValidator:
-    """Pairs a client operation with its shadow expectation."""
-
-    def __init__(self, shadow: ShadowStore) -> None:
-        self.shadow = shadow
-        self.mismatches: list[OracleMismatch] = []
-        self.checked = 0
-
-    def check(self, op_name: str, args: tuple, actual) -> bool:
-        """Apply the shadow op, compare responses, record divergence."""
-        method = getattr(self.shadow, op_name.replace("-", "_"), None)
-        if method is None:
-            return True  # no shadow model for this op (e.g. get-system-logs)
-        expected = method(*args)
-        self.checked += 1
-        if _canonical(expected) != _canonical(actual):
-            self.mismatches.append(OracleMismatch(op_name, expected, actual))
-            return False
-        return True
-
-
-#: client operations the oracle models exactly, keyed by taxonomy name,
-#: mapping to (client-callable name, shadow-callable name).
-_EXACT_OPS = {
-    "read-data-by-key", "read-data-by-pur", "read-data-by-usr",
-    "read-data-by-obj", "read-data-by-dec",
-    "read-metadata-by-key", "read-metadata-by-usr", "read-metadata-by-shr",
-    "update-data-by-key", "update-metadata-by-key", "update-metadata-by-pur",
-    "update-metadata-by-usr", "update-metadata-by-shr",
-    "delete-record-by-key", "delete-record-by-pur", "delete-record-by-usr",
-}
-
-
-def run_with_oracle(client, shadow: ShadowStore, calls) -> RunReport:
-    """Run (op_name, args, execute) triples single-threaded with the oracle.
-
-    ``calls`` is an iterable of ``(op_name, args, execute)`` where
-    ``execute(client)`` performs the operation and ``args`` are the
-    semantic arguments the shadow needs.  Returns a RunReport whose
-    correctness counts exact response matches.
-    """
-    validator = OracleValidator(shadow)
-    stats = StatsCollector()
-    correct = 0
-    failed = 0
-    total = 0
-    stats.start(0.0)
-    began = time.perf_counter()
-    for op_name, args, execute in calls:
-        total += 1
-        started = time.perf_counter()
-        try:
-            actual = execute(client)
-            error = False
-        except Exception:
-            actual = None
-            error = True
-        stats.record(op_name, (time.perf_counter() - started) * 1e6, success=not error)
-        if error:
-            failed += 1
-            continue
-        if op_name in _EXACT_OPS:
-            if validator.check(op_name, args, actual):
-                correct += 1
-        else:
-            correct += 1
-    elapsed = time.perf_counter() - began
-    stats.finish(elapsed)
-    report = RunReport(
-        workload="oracle",
-        engine=getattr(client, "engine_name", "unknown"),
-        operations=total,
-        correct=correct,
-        failed=failed,
-        completion_time_s=elapsed,
-        stats=stats,
-    )
-    report.oracle_mismatches = validator.mismatches  # type: ignore[attr-defined]
-    return report

@@ -243,7 +243,6 @@ class RedisGDPRClient(GDPRClient):
         shards: int = 1,
         transport: str = "pipe",
         shard_addresses: tuple | None = None,
-        ring_vnodes: int | None = None,
     ) -> None:
         super().__init__(features or FeatureSet.none())
         self.clock = clock or SystemClock()
@@ -255,18 +254,20 @@ class RedisGDPRClient(GDPRClient):
         self._engine_ttl = engine_ttl
         engine_config = MiniKVConfig(
             encryption_at_rest=self.features.encryption,
-            strict_ttl=self.features.timely_deletion,
             aof_path=self._aof_path,
             fsync="everysec",
             log_reads=self.features.monitoring,
             expiry_seed=expiry_seed,
-            ttl_algorithm=ttl_algorithm,
+            # timely deletion is the paper's strict patch unless the
+            # caller picked an algorithm explicitly
+            ttl_algorithm=ttl_algorithm or (
+                "strict" if self.features.timely_deletion else "lazy"
+            ),
             stripes=stripes,
             aof_batch_size=aof_batch_size,
             shards=shards,
             transport=transport,
             shard_addresses=shard_addresses,
-            ring_vnodes=ring_vnodes,
         )
         # shards=1 -> the paper's in-process engine on the client clock
         # (byte-identical to the seed construction path); shards>1 -> the

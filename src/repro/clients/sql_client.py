@@ -263,7 +263,6 @@ class SQLGDPRClient(GDPRClient):
         shards: int = 1,
         transport: str = "pipe",
         shard_addresses: tuple | None = None,
-        ring_vnodes: int | None = None,
     ) -> None:
         super().__init__(features or FeatureSet.none())
         self.clock = clock or SystemClock()
@@ -291,7 +290,6 @@ class SQLGDPRClient(GDPRClient):
                 shards=shards,
                 transport=transport,
                 shard_addresses=shard_addresses,
-                ring_vnodes=ring_vnodes,
             ),
             clock=self.clock if shards <= 1 else clock,
         )

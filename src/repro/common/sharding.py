@@ -222,10 +222,8 @@ class ShardRouter:
     #: the engine-flavoured :class:`ShardConnectionError` subclass
     error_class = ShardConnectionError
 
-    def __init__(self, shard_count: int, *, start_method: str | None = None,
-                 transport: str = "pipe", addresses=None,
-                 ring_vnodes: int | None = None,
-                 base_path: str | None = None) -> None:
+    def __init__(self, shard_count: int, *, transport: str = "pipe",
+                 addresses=None, base_path: str | None = None) -> None:
         if transport not in TRANSPORTS:
             raise ConfigurationError(
                 f"unknown shard transport {transport!r}; choose from {TRANSPORTS}"
@@ -234,12 +232,12 @@ class ShardRouter:
             raise ConfigurationError(
                 "shard_addresses requires transport='tcp'"
             )
-        if start_method is None:
-            # fork starts workers in milliseconds and is available on the
-            # platforms we target; spawn is the portable fallback
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
+        # fork starts workers in milliseconds and is available on the
+        # platforms we target; spawn is the portable fallback
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         self._transport = transport
         self._closed = False
         #: shared by every exchange, held exclusively per reshard slot
@@ -268,9 +266,7 @@ class ShardRouter:
         else:
             shard_ids = list(range(shard_count))
             self._next_id = shard_count
-            self._ring_vnodes = (
-                ring_vnodes if ring_vnodes is not None else DEFAULT_VNODES
-            )
+            self._ring_vnodes = DEFAULT_VNODES
             if addresses is not None:
                 addresses = [parse_address(a) for a in addresses]
                 if len(addresses) != shard_count:
@@ -288,19 +284,25 @@ class ShardRouter:
             | (set(pending["from"]) | set(pending["to"]) if pending else set())
         )
         self._shards: dict[int, Shard] = {}
-        for sid in start_ids:
-            shard = Shard(sid, self._shard_config(sid),
-                          (self._addresses or {}).get(sid))
-            self._start(shard)
-            self._shards[sid] = shard
-        self._ring = HashRing(
-            pending["from"] if pending else shard_ids, self._ring_vnodes
-        )
-        if pending:
-            self._repair_migration(
-                [int(i) for i in pending["from"]],
-                [int(i) for i in pending["to"]],
+        try:
+            for sid in start_ids:
+                shard = Shard(sid, self._shard_config(sid),
+                              (self._addresses or {}).get(sid))
+                self._start(shard)
+                self._shards[sid] = shard
+            self._ring = HashRing(
+                pending["from"] if pending else shard_ids, self._ring_vnodes
             )
+            if pending:
+                self._repair_migration(
+                    [int(i) for i in pending["from"]],
+                    [int(i) for i in pending["to"]],
+                )
+        except BaseException:
+            # no front object reaches the caller, so nobody else could
+            # ever stop the workers and sockets already started
+            self.close()
+            raise
 
     # ------------------------------------------------------------------
     # Subclass hooks
@@ -383,8 +385,14 @@ class ShardRouter:
                 ) from None
             finally:
                 bootstrap_recv.close()
+            try:
+                shard.conn = connect_shard("127.0.0.1", port)
+            except BaseException:
+                # the worker parks in accept() forever: never leave it
+                process.terminate()
+                process.join(timeout=5)
+                raise
             shard.process = process
-            shard.conn = connect_shard("127.0.0.1", port)
             return
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(

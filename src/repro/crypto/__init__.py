@@ -1,6 +1,6 @@
 """Simulated LUKS (at-rest) and TLS (in-transit) encryption boundaries."""
 
-from .luks import AtRestCipher, NullAtRestCipher
+from .luks import AtRestCipher
 from .stream import KeystreamPool, StreamCipher, xor_bytes
 from .tls import ChannelError, LoopbackSecureLink, SecureChannel
 
@@ -9,7 +9,6 @@ __all__ = [
     "KeystreamPool",
     "xor_bytes",
     "AtRestCipher",
-    "NullAtRestCipher",
     "SecureChannel",
     "LoopbackSecureLink",
     "ChannelError",

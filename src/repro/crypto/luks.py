@@ -21,8 +21,6 @@ from .stream import KeystreamPool
 class AtRestCipher:
     """Encrypt/decrypt value payloads at the storage boundary."""
 
-    enabled = True
-
     def __init__(self, key: bytes = b"repro-luks-default-key") -> None:
         self._pool = KeystreamPool(key, nonce=0x4C554B53)  # 'LUKS'
 
@@ -45,8 +43,6 @@ class FileCipher:
     which is exactly how sector-addressed disk encryption behaves.
     """
 
-    enabled = True
-
     def __init__(self, key: bytes = b"repro-luks-default-key") -> None:
         self._pool = KeystreamPool(key, nonce=0x4C554B46)  # 'LUKF'
 
@@ -54,17 +50,3 @@ class FileCipher:
         """Encrypt/decrypt ``data`` located at absolute file ``offset``."""
         return self._pool.apply(data, offset)
 
-
-class NullAtRestCipher(AtRestCipher):
-    """No-op cipher used when the encryption feature is disabled."""
-
-    enabled = False
-
-    def __init__(self) -> None:  # no key, no pool
-        pass
-
-    def seal(self, token: str, plaintext: bytes) -> bytes:
-        return plaintext
-
-    def open(self, token: str, ciphertext: bytes) -> bytes:
-        return ciphertext

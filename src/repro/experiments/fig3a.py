@@ -30,7 +30,8 @@ DEFAULT_COUNTS = (1000, 2000, 4000, 8000, 16000)
 def erasure_delay(total_keys: int, strict: bool, seed: int = 3, max_hours: float = 24.0) -> float:
     """Simulated seconds after the deadline until every expired key is gone."""
     clock = VirtualClock()
-    kv = MiniKV(MiniKVConfig(strict_ttl=strict, expiry_seed=seed), clock=clock)
+    kv = MiniKV(MiniKVConfig(ttl_algorithm="strict" if strict else "lazy",
+                             expiry_seed=seed), clock=clock)
     for i in range(total_keys):
         ttl = SHORT_TTL if i % int(1 / SHORT_FRACTION) == 0 else LONG_TTL
         kv.set(f"k{i}", b"v", ttl=ttl)

@@ -13,7 +13,6 @@ from .compliance import (
 )
 from .queries import (
     FAMILIES,
-    GDPRQuery,
     QUERY_SPECS,
     QuerySpec,
     Role,
@@ -36,7 +35,6 @@ __all__ = [
     "format_ttl",
     "parse_ttl",
     "Role",
-    "GDPRQuery",
     "QuerySpec",
     "QUERY_SPECS",
     "FAMILIES",

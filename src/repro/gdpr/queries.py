@@ -8,7 +8,7 @@ stub must implement is named here, together with which roles may issue it
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from repro.common.errors import UnknownQueryError
@@ -35,7 +35,6 @@ class QuerySpec:
 
 
 _Q = QuerySpec
-_ALL = (Role.CONTROLLER, Role.CUSTOMER, Role.PROCESSOR, Role.REGULATOR)
 
 #: Section 3.3, verbatim taxonomy.  ``verify-deletion`` is the regulator
 #: probe GDPRbench adds to the regulator workload (Table 2a).
@@ -105,17 +104,3 @@ def queries_for_role(role: Role) -> list[QuerySpec]:
 def role_may_issue(role: Role, name: str) -> bool:
     return role in query_spec(name).roles
 
-
-@dataclass(frozen=True)
-class GDPRQuery:
-    """A concrete query instance: taxonomy name + arguments."""
-
-    name: str
-    args: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        query_spec(self.name)  # raises UnknownQueryError
-
-    @property
-    def spec(self) -> QuerySpec:
-        return query_spec(self.name)

@@ -10,8 +10,9 @@ modifications:
   encrypted at the disk boundary.  In-memory values stay plaintext, just
   as Redis' heap does on a dm-crypt volume; the in-transit half lives in
   the client stub (the Stunnel analogue).
-* ``strict_ttl`` — replaces the lazy expiry cycle with a full scan of the
-  expires dictionary per tick (the paper's ~120-line Redis patch).
+* ``ttl_algorithm="strict"`` — replaces the lazy expiry cycle with a full
+  scan of the expires dictionary per tick (the paper's ~120-line Redis
+  patch).
 * ``aof_path`` + ``log_reads`` — audit trail piggybacked on the AOF,
   extended to record reads and scans (Section 5.1: "we update its internal
   logic to log all interactions including reads and scans").
@@ -78,10 +79,6 @@ class MiniKVConfig:
     #: ``True`` encrypts the AOF at the disk boundary (the LUKS retrofit
     #: of Section 5.1; in-memory values stay plaintext as on dm-crypt).
     encryption_at_rest: bool = False
-    #: Default ``False`` — Redis' lazy sampling expiry cycle, the stock
-    #: engine the paper benchmarks.  ``True`` applies the paper's ~120-line
-    #: patch: a full expires-dict scan per tick (strict timely deletion).
-    strict_ttl: bool = False
     #: Default ``None`` — no persistence, Redis' in-memory baseline.  A
     #: path arms the append-only file (and the audit trail when
     #: ``log_reads`` is set).
@@ -98,11 +95,13 @@ class MiniKVConfig:
     #: sampling; any fixed value reproduces the paper's probabilistic
     #: expiry behaviour reproducibly.
     expiry_seed: int = 0
-    #: Default ``""`` — defer to ``strict_ttl`` (backwards compatible):
-    #: 'lazy' (stock Redis), 'strict' (the paper's patch), or 'heap' (the
-    #: paper's §7.2 "efficient time-based deletion" challenge: deadline-
-    #: ordered min-heap, strict timeliness at O(k log n) per tick).
-    ttl_algorithm: str = ""
+    #: Default ``"lazy"`` — Redis' sampling expiry cycle, the stock engine
+    #: the paper benchmarks.  ``"strict"`` applies the paper's ~120-line
+    #: patch: a full expires-dict scan per tick (strict timely deletion).
+    #: ``"heap"`` answers the paper's §7.2 "efficient time-based deletion"
+    #: challenge: a deadline-ordered min-heap, strict timeliness at
+    #: O(k log n) per tick.
+    ttl_algorithm: str = "lazy"
     #: Default ``1`` — Redis' single-event-loop semantics, the paper's
     #: execution model (one lock serialises everything); >1 hash-partitions
     #: the keyspace into that many lock stripes so independent keys
@@ -134,25 +133,13 @@ class MiniKVConfig:
     #: only) connects to externally-run shard servers instead; shard
     #: persistence then lives wherever each server was started.
     shard_addresses: tuple | None = None
-    #: Default ``None`` → 64 — virtual nodes per shard on the consistent-
-    #: hash ring that places keys on shards.  More vnodes flatten the
-    #: per-shard load spread at the cost of a longer migration plan on
-    #: add_shard/remove_shard.  Changing it on an existing resharded
-    #: deployment is ignored: the persisted topology's value wins, because
-    #: placement is a fact about the data already on disk.
-    ring_vnodes: int | None = None
-
-    def resolved_ttl_algorithm(self) -> str:
-        if self.ttl_algorithm:
-            return self.ttl_algorithm
-        return "strict" if self.strict_ttl else "lazy"
 
     @property
     def gdpr_features(self) -> dict[str, bool]:
         """Feature vector reported by GET-SYSTEM-FEATURES."""
         return {
             "encryption": self.encryption_at_rest,
-            "timely_deletion": self.resolved_ttl_algorithm() in ("strict", "heap"),
+            "timely_deletion": self.ttl_algorithm in ("strict", "heap"),
             "monitoring": self.aof_path is not None and self.log_reads,
             "metadata_indexing": False,   # Redis has no secondary indices
             "access_control": False,      # deferred to the client (paper §5.1)
@@ -309,7 +296,7 @@ class MiniKV:
                 "shards > 1 is the multi-process deployment; build it via "
                 "repro.minikv.sharded.open_minikv (or ShardedMiniKV)"
             )
-        algorithm = self.config.resolved_ttl_algorithm()
+        algorithm = self.config.ttl_algorithm
         cycle_classes = {
             "lazy": LazyExpiryCycle,
             "strict": StrictExpiryCycle,

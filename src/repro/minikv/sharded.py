@@ -81,13 +81,6 @@ BATCHABLE_COMMANDS = (
 #: both get explicit implementations instead of a generated router.)
 _KEYED_COMMANDS = tuple(c for c in BATCHABLE_COMMANDS if c != "delete")
 
-#: Keyless commands that fan out to every shard.  The merge of the
-#: per-shard results is named per command in :class:`ShardedMiniKV`.
-_FANOUT_COMMANDS = (
-    "purge_expired", "cron", "keys", "randomkey", "dbsize", "flushall",
-    "memory_used", "aof_size", "flush_aof", "info",
-)
-
 
 def shard_aof_path(base_path: str, index: int) -> str:
     """Per-shard AOF file derived from the deployment's base path."""
@@ -299,18 +292,15 @@ class ShardedMiniKV(ShardRouter):
     worker_name = "minikv-shard"
     error_class = ShardConnectionError
 
-    def __init__(self, config: MiniKVConfig | None = None,
-                 start_method: str | None = None) -> None:
+    def __init__(self, config: MiniKVConfig | None = None) -> None:
         self.config = config or MiniKVConfig()
         if self.config.shards < 1:
             raise ConfigurationError("shards must be >= 1")
         self._file_cipher = FileCipher() if self.config.encryption_at_rest else None
         super().__init__(
             self.config.shards,
-            start_method=start_method,
             transport=self.config.transport,
             addresses=self.config.shard_addresses,
-            ring_vnodes=self.config.ring_vnodes,
             base_path=self.config.aof_path,
         )
 

@@ -11,7 +11,6 @@ from .expr import (
     Contains,
     Expr,
     In,
-    IsEmpty,
     IsNull,
     Like,
     Not,
@@ -19,7 +18,7 @@ from .expr import (
     TrueExpr,
 )
 from .heap import HeapTable, RowCodec
-from .planner import Plan, PlanCache, plan_scan
+from .planner import Plan, PlanCache
 from .schema import Catalog, Column, IndexInfo, TableSchema
 from .sharded import (
     ShardedDatabase,
@@ -28,7 +27,7 @@ from .sharded import (
     open_database,
     shard_store_path,
 )
-from .sql import execute, execute_batch, statement_intent, tokenize
+from .sql import execute, tokenize
 from .storage import Storage
 from .transaction import LockManager, Transaction
 from .ttl_daemon import TTLSweeper
@@ -57,8 +56,6 @@ __all__ = [
     "Transaction",
     "LockManager",
     "PlanCache",
-    "execute_batch",
-    "statement_intent",
     "Column",
     "TableSchema",
     "Catalog",
@@ -69,7 +66,6 @@ __all__ = [
     "HeapTable",
     "RowCodec",
     "Plan",
-    "plan_scan",
     "TTLSweeper",
     "CSVLogger",
     "WALWriter",
@@ -88,7 +84,6 @@ __all__ = [
     "Cmp",
     "Contains",
     "In",
-    "IsEmpty",
     "IsNull",
     "Like",
     "And",

@@ -33,8 +33,7 @@ Section 5.2 changes:
   indices (Figure 3b / Figure 5c).
 
 Statements take programmatic predicate trees (:mod:`repro.minisql.expr`);
-a tiny SQL front-end in :mod:`repro.minisql.sql` parses text for examples
-and offers ``execute_batch`` for pipelined statement streams.
+a tiny SQL front-end in :mod:`repro.minisql.sql` parses text for examples.
 """
 
 from __future__ import annotations
@@ -122,11 +121,6 @@ class MiniSQLConfig:
     #: of ``"host:port"`` strings (one per shard, ``transport="tcp"``
     #: only) connects to externally-run shard servers instead.
     shard_addresses: tuple | None = None
-    #: Default ``None`` → 64 — virtual nodes per shard on the consistent-
-    #: hash ring placing rows (by primary key) on shards; the persisted
-    #: topology's value wins on an already-resharded deployment (mirrors
-    #: ``MiniKVConfig.ring_vnodes``).
-    ring_vnodes: int | None = None
 
     def gdpr_features(self, has_indices: bool, has_ttl: bool) -> dict[str, bool]:
         return {

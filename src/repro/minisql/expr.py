@@ -91,20 +91,6 @@ class Contains(Expr):
 
 
 @dataclass(frozen=True)
-class IsEmpty(Expr):
-    """TEXT_LIST column is NULL or has no tokens (the paper's ∅)."""
-
-    column: str
-
-    def evaluate(self, row, schema):
-        actual = row[schema.column_index(self.column)]
-        return actual is None or len(actual) == 0
-
-    def columns(self):
-        return {self.column}
-
-
-@dataclass(frozen=True)
 class In(Expr):
     """column IN (v1, v2, ...)."""
 

@@ -74,21 +74,6 @@ def _candidates(predicate: Expr, indices_by_column: dict[str, IndexInfo]):
                 yield "contains", conjunct, info
 
 
-def plan_scan(catalog: Catalog, table: str, predicate: Expr | None) -> Plan:
-    """Pick the cheapest access path for ``predicate`` on ``table``."""
-    predicate = predicate if predicate is not None else ALWAYS
-    indices_by_column = {info.column: info for info in catalog.indices_for(table)}
-    best: tuple[int, str, Expr, IndexInfo] | None = None
-    for op, conjunct, info in _candidates(predicate, indices_by_column):
-        rank = _PREFERENCE[op]
-        if best is None or rank < best[0]:
-            best = (rank, op, conjunct, info)
-    if best is None:
-        return Plan(kind="seqscan", table=table, predicate=predicate)
-    _, op, conjunct, info = best
-    return _build_plan(table, predicate, op, conjunct, info)
-
-
 def _build_plan(table: str, predicate: Expr, op: str, conjunct: Expr, info: IndexInfo) -> Plan:
     if op == "eq":
         return Plan(

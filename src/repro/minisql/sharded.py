@@ -73,14 +73,6 @@ class SQLShardConnectionError(_BaseShardConnectionError, SQLError):
 #: else on the batch surface is a read)
 _WRITE_METHODS = frozenset({"insert", "update", "delete"})
 
-#: statement methods a ``("batch", ...)`` message may carry; all of them
-#: exist on :class:`~repro.minisql.transaction.Transaction` (and the read
-#: half on :class:`~repro.minisql.database.SnapshotReader`)
-BATCHABLE_STATEMENTS = (
-    "select", "select_point", "count", "aggregate",
-    "insert", "update", "delete",
-)
-
 
 def shard_store_path(base_path: str, index: int) -> str:
     """Per-shard persistence file (WAL / csvlog) for one worker."""
@@ -444,18 +436,15 @@ class ShardedDatabase(ShardRouter):
     worker_name = "minisql-shard"
     error_class = SQLShardConnectionError
 
-    def __init__(self, config: MiniSQLConfig | None = None,
-                 start_method: str | None = None) -> None:
+    def __init__(self, config: MiniSQLConfig | None = None) -> None:
         self.config = config or MiniSQLConfig()
         if self.config.shards < 1:
             raise ConfigurationError("shards must be >= 1")
         self._file_cipher = FileCipher() if self.config.encryption_at_rest else None
         super().__init__(
             self.config.shards,
-            start_method=start_method,
             transport=self.config.transport,
             addresses=self.config.shard_addresses,
-            ring_vnodes=self.config.ring_vnodes,
             # the topology file lives next to the WAL; without durability
             # the topology is in-memory like everything else
             base_path=self.config.wal_path,

@@ -21,16 +21,12 @@ IS NULL / IS NOT NULL, AND/OR/NOT with parentheses, IN (...), and LIKE
 
 :func:`execute` runs one statement against a :class:`Database` **or** a
 :class:`~repro.minisql.transaction.Transaction` — both expose the same
-statement surface.  :func:`execute_batch` is the pipelined form: it
-pre-parses each statement's table and write intent, groups consecutive
-non-DDL statements, and runs each group inside one transaction — one lock
-acquisition and one WAL group commit per group instead of per statement.
+statement surface.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Sequence
 
 from repro.common.errors import ParseError
 
@@ -62,14 +58,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_KEYWORDS = {
-    "create", "table", "unique", "index", "on", "drop", "insert", "into",
-    "values", "select", "from", "where", "order", "by", "desc", "asc",
-    "limit", "update", "set", "delete", "vacuum", "explain", "and", "or",
-    "not", "null", "is", "in", "like", "contains", "primary", "key", "count",
-}
-
 
 def tokenize(text: str) -> list[str]:
     tokens: list[str] = []
@@ -284,84 +272,6 @@ def execute(db, statement: str):
         return db.vacuum(table)
 
     raise ParseError(f"unknown statement head {head!r}")
-
-
-#: statement heads that mutate data (for batch lock planning)
-_WRITE_HEADS = {"insert", "update", "delete", "vacuum"}
-
-
-def statement_intent(statement: str) -> tuple[str, str | None, bool]:
-    """Light pre-parse: (head, target table or None, writes?).
-
-    Used by :func:`execute_batch` to plan a transaction's lock set without
-    executing anything.  DDL statements (and VACUUM without a table, which
-    targets every table) report ``table=None``.
-    """
-    parser = _Parser(tokenize(statement))
-    head = parser.next().lower()
-    if head == "insert":
-        parser.expect("into")
-        return head, parser.identifier(), True
-    if head == "update":
-        return head, parser.identifier(), True
-    if head == "delete":
-        parser.expect("from")
-        return head, parser.identifier(), True
-    if head in ("select", "explain"):
-        # the table is the identifier after the first FROM keyword
-        while not parser.done():
-            token = parser.next()
-            if not token.startswith("'") and token.lower() == "from":
-                return head, parser.identifier(), False
-        raise ParseError(f"{head.upper()} statement has no FROM clause")
-    if head == "vacuum":
-        table = parser.identifier() if not parser.done() else None
-        return head, table, True
-    if head in ("create", "drop"):
-        return head, None, True  # DDL: runs standalone, outside transactions
-    raise ParseError(f"unknown statement head {head!r}")
-
-
-def execute_batch(db: Database, statements: Sequence[str]) -> list:
-    """Run a statement stream with transaction-batched execution.
-
-    Consecutive non-DDL statements execute inside one transaction — one
-    lock-set acquisition (read locks for pure-query stretches, write locks
-    where needed) and one WAL group commit per stretch.  DDL statements
-    flush the pending stretch and run standalone, since DDL sits above
-    table locks in the lock hierarchy.  Returns per-statement results in
-    order.  Like an engine pipeline, the batch is not all-or-nothing: a
-    failing statement aborts the remainder but earlier effects stand.
-    """
-    results: list = []
-    pending: list[tuple[str, str | None, bool]] = []  # (stmt, table, writes)
-
-    def flush() -> None:
-        if not pending:
-            return
-        read: set[str] = set()
-        write: set[str] = set()
-        for _, table, writes in pending:
-            if table is None:       # VACUUM with no target: every table
-                write.update(db.catalog.tables())
-            elif writes:
-                write.add(table)
-            else:
-                read.add(table)
-        with db.transaction(read=read - write, write=write) as txn:
-            for stmt, _, _ in pending:
-                results.append(execute(txn, stmt))
-        pending.clear()
-
-    for statement in statements:
-        head, table, writes = statement_intent(statement)
-        if head in ("create", "drop"):
-            flush()
-            results.append(execute(db, statement))
-        else:
-            pending.append((statement, table, writes))
-    flush()
-    return results
 
 
 def _create_table(db: Database, parser: _Parser):

@@ -14,7 +14,6 @@ from repro.bench.operations import (
     is_optional_str,
     is_pair_list,
     metadata_for_key,
-    metadata_shared_with,
     metadata_user_is,
 )
 from repro.bench.records import (
@@ -110,11 +109,6 @@ class TestValidators:
         check = metadata_user_is("u1")
         assert check([("k", {"USR": "u1"})])
         assert not check([("k", {"USR": "u2"})])
-
-    def test_metadata_shared_with(self):
-        check = metadata_shared_with("acme")
-        assert check([("k", {"SHR": ("acme", "globex")})])
-        assert not check([("k", {"SHR": ()})])
 
     def test_metadata_for_key(self):
         check = metadata_for_key("k")

@@ -16,6 +16,7 @@ import threading
 
 import pytest
 
+from repro.common.errors import KVError, WrongTypeError
 from repro.common.netshard import (
     MAX_FRAME_BYTES,
     FrameError,
@@ -25,6 +26,8 @@ from repro.common.netshard import (
     recv_frame,
     send_frame,
 )
+from repro.minikv.engine import MiniKV
+from repro.minikv.sharded import _run_engine_batch
 
 
 @pytest.fixture
@@ -106,6 +109,9 @@ class _PingEngine:
     def boom(self):
         raise ValueError("kaboom")
 
+    def gift(self):
+        return lambda: None  # unpicklable on purpose
+
     def close(self):
         self.closed = True
 
@@ -115,12 +121,26 @@ def _run_batch(engine, calls):
             for method, args, kwargs in calls]
 
 
+def _serve(engine_factory, run_batch):
+    srv = ShardServer("127.0.0.1", 0, engine_factory, run_batch, KVError)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    return srv, thread
+
+
 @pytest.fixture
 def server():
     _PingEngine.instances = 0
-    srv = ShardServer("127.0.0.1", 0, _PingEngine, _run_batch, RuntimeError)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
-    thread.start()
+    srv, thread = _serve(_PingEngine, _run_batch)
+    yield srv
+    srv.close()
+    thread.join(timeout=5)
+
+
+@pytest.fixture
+def kv_server():
+    """A real minikv engine behind the server, batches via the engine hook."""
+    srv, thread = _serve(MiniKV, _run_engine_batch)
     yield srv
     srv.close()
     thread.join(timeout=5)
@@ -149,6 +169,46 @@ class TestShardServer:
         conn.send(("call", "ping", (), {}))
         assert conn.recv()[0] == "ok"
         conn.close()
+
+    def test_unpicklable_reply_degrades_instead_of_desyncing(self, server):
+        conn = connect_shard(server.host, server.port)
+        conn.send(("call", "gift", (), {}))
+        status, exc = conn.recv()
+        # the reply could not cross the wire: it degrades through the
+        # engine family's error, and the stream stays in sync
+        assert status == "err"
+        assert isinstance(exc, KVError) and "unserialisable" in str(exc)
+        conn.send(("call", "ping", (), {}))
+        assert conn.recv() == ("ok", ("pong", 1))
+        conn.close()
+
+    def test_batch_runs_through_engine_hook_per_slot_errors(self, kv_server):
+        conn = connect_shard(kv_server.host, kv_server.port)
+        conn.send(("batch", [
+            ("set", ("a", b"1"), {}),
+            ("hgetall", ("a",), {}),   # poisoned: WRONGTYPE at execution
+            ("set", (), {}),           # poisoned: arity error at queue time
+            ("get", ("a",), {}),
+        ]))
+        status, results = conn.recv()
+        # one message, one reply; each poisoned slot fails alone
+        assert status == "ok" and len(results) == 4
+        assert results[0] is None
+        assert isinstance(results[1], WrongTypeError)
+        assert isinstance(results[2], TypeError)
+        assert results[3] == b"1"
+        conn.send(("stop",))
+        assert conn.recv() == ("ok", None)
+        conn.close()
+
+    def test_connect_retries_then_raises(self):
+        # nothing listens here: bind-and-close to claim a dead port
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        host, port = probe.getsockname()[:2]
+        probe.close()
+        with pytest.raises(ConnectionError, match=f"{host}:{port}"):
+            connect_shard(host, port, retries=3, delay=0.01)
 
     def test_fresh_engine_per_connection(self, server):
         first = connect_shard(server.host, server.port)

@@ -1,9 +1,9 @@
 """Shared test plumbing: a per-test wall-clock deadline marker.
 
-The asyncio suites (``tests/common/test_asyncserve.py``, the futures
-coalescing tests) drive real event loops and real sockets; a bug that
-parks an event loop or loses a wakeup would otherwise hang the whole
-tier-1 run until the CI job timeout.  ``@pytest.mark.deadline(seconds)``
+The futures coalescing tests (``tests/clients/test_futures_contract.py``)
+drive real event loops and background drain threads; a bug that parks
+an event loop or loses a wakeup would otherwise hang the whole tier-1
+run until the CI job timeout.  ``@pytest.mark.deadline(seconds)``
 arms a ``SIGALRM``-based timer around the test body so a stuck loop
 fails fast, with a message naming the budget instead of a 30-minute
 job kill.

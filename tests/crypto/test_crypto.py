@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.luks import AtRestCipher, FileCipher, NullAtRestCipher
+from repro.crypto.luks import AtRestCipher, FileCipher
 from repro.crypto.stream import KeystreamPool, StreamCipher, xor_bytes
 from repro.crypto.tls import ChannelError, LoopbackSecureLink, SecureChannel
 
@@ -90,12 +90,6 @@ class TestAtRestCipher:
     def test_different_tokens_different_ciphertexts(self):
         cipher = AtRestCipher()
         assert cipher.seal("a", b"same-data") != cipher.seal("bbb", b"same-data")
-
-    def test_null_cipher_is_identity(self):
-        cipher = NullAtRestCipher()
-        assert cipher.seal("tok", b"x") == b"x"
-        assert cipher.open("tok", b"x") == b"x"
-        assert cipher.enabled is False
 
 
 class TestFileCipher:

@@ -13,7 +13,6 @@ from repro.gdpr.compliance import (
 )
 from repro.gdpr.queries import (
     FAMILIES,
-    GDPRQuery,
     QUERY_SPECS,
     Role,
     queries_for_role,
@@ -38,13 +37,11 @@ class TestQueryTaxonomy:
     def test_unknown_query_rejected(self):
         with pytest.raises(UnknownQueryError):
             query_spec("drop-all-tables")
-        with pytest.raises(UnknownQueryError):
-            GDPRQuery("drop-all-tables")
 
-    def test_gdpr_query_carries_spec(self):
-        q = GDPRQuery("read-data-by-key", {"key": "k1"})
-        assert q.spec.family == "READ-DATA"
-        assert "28" in q.spec.articles
+    def test_query_spec_carries_family_and_articles(self):
+        spec = query_spec("read-data-by-key")
+        assert spec.family == "READ-DATA"
+        assert "28" in spec.articles
 
     def test_every_role_has_queries(self):
         for role in Role:

@@ -148,7 +148,7 @@ class TestKeyspace:
         assert kv.randomkey() == "only"
 
     def test_info_reports_features(self):
-        engine = MiniKV(MiniKVConfig(strict_ttl=True))
+        engine = MiniKV(MiniKVConfig(ttl_algorithm="strict"))
         info = engine.info()
         assert info["expiry_algorithm"] == "strict"
         assert info["gdpr_features"]["timely_deletion"] is True

@@ -97,12 +97,8 @@ class TestHeapCycle:
 
     def test_features_report_timely_deletion(self):
         assert MiniKVConfig(ttl_algorithm="heap").gdpr_features["timely_deletion"]
-        assert MiniKVConfig(strict_ttl=True).gdpr_features["timely_deletion"]
+        assert MiniKVConfig(ttl_algorithm="strict").gdpr_features["timely_deletion"]
         assert not MiniKVConfig().gdpr_features["timely_deletion"]
-
-    def test_explicit_algorithm_overrides_strict_flag(self):
-        config = MiniKVConfig(strict_ttl=True, ttl_algorithm="lazy")
-        assert config.resolved_ttl_algorithm() == "lazy"
 
 
 class TestHeapCycleUnit:

@@ -132,7 +132,7 @@ class TestTickAmortisation:
         """A 100-command batch on one stripe runs the strict cycle once,
         where 100 serial commands at tick boundaries would run it often."""
         clock = VirtualClock()
-        kv = MiniKV(MiniKVConfig(strict_ttl=True), clock=clock)
+        kv = MiniKV(MiniKVConfig(ttl_algorithm="strict"), clock=clock)
         try:
             for i in range(20):
                 kv.set(f"seed{i}", b"v", ttl=10_000.0)

@@ -7,6 +7,7 @@ dies is respawned with its shard rebuilt from its own AOF while the
 other shards keep serving.
 """
 
+import multiprocessing
 import os
 
 import pytest
@@ -383,3 +384,75 @@ class TestRecovery:
             assert kv.get("secret") == b"payload"  # respawn decrypts + replays
         with ShardedMiniKV(config) as kv:
             assert kv.get("secret") == b"payload"
+
+
+class TestConstructionFailure:
+    """A front whose construction raises leaves nothing running behind it."""
+
+    @staticmethod
+    def _live_workers():
+        return [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("minikv-shard-")
+        ]
+
+    @staticmethod
+    def _is_closed(conn) -> bool:
+        # pipe ends expose ``closed``; closed sockets report fd -1
+        return getattr(conn, "closed", None) is True or conn.fileno() == -1
+
+    @pytest.mark.parametrize("transport", ["pipe", "tcp"])
+    def test_failed_start_reaps_started_shards(self, monkeypatch, transport):
+        from repro.minikv.sharded import ShardConnectionError
+
+        started = []
+        real_start = ShardedMiniKV._start
+
+        def start(self, shard):
+            if started:
+                raise ShardConnectionError("second shard unreachable")
+            real_start(self, shard)
+            started.append(shard)
+
+        monkeypatch.setattr(ShardedMiniKV, "_start", start)
+        with pytest.raises(ShardConnectionError, match="unreachable"):
+            ShardedMiniKV(MiniKVConfig(shards=3, transport=transport))
+        assert len(started) == 1
+        assert self._is_closed(started[0].conn)
+        assert not self._live_workers()
+
+    def test_failed_migration_repair_reaps_every_shard(self, monkeypatch):
+        shards = []
+        real_start = ShardedMiniKV._start
+
+        def start(self, shard):
+            real_start(self, shard)
+            shards.append(shard)
+
+        def repair(self, from_ids, to_ids):
+            raise OSError("repair failed")
+
+        monkeypatch.setattr(ShardedMiniKV, "_start", start)
+        monkeypatch.setattr(ShardedMiniKV, "_load_topology", lambda self: {
+            "shard_ids": [0, 1], "next_id": 3, "vnodes": 64,
+            "migration": {"from": [0, 1], "to": [0, 1, 2]},
+        })
+        monkeypatch.setattr(ShardedMiniKV, "_repair_migration", repair)
+        with pytest.raises(OSError, match="repair failed"):
+            ShardedMiniKV(MiniKVConfig(shards=2))
+        assert len(shards) == 3
+        assert all(self._is_closed(shard.conn) for shard in shards)
+        assert not self._live_workers()
+
+    def test_failed_connect_reaps_the_spawned_tcp_worker(self, monkeypatch):
+        import repro.common.netshard as netshard
+
+        def refuse(host, port, *args, **kwargs):
+            raise ConnectionError(f"shard server {host}:{port} unreachable")
+
+        # the worker bound and reported its port, then the connect failed:
+        # without cleanup it would sit in accept() for the process lifetime
+        monkeypatch.setattr(netshard, "connect_shard", refuse)
+        with pytest.raises(ConnectionError, match="unreachable"):
+            ShardedMiniKV(MiniKVConfig(shards=2, transport="tcp"))
+        assert not self._live_workers()

@@ -202,7 +202,7 @@ class TestStripedExpiry:
 
     def test_expiry_stats_aggregate(self):
         clock = VirtualClock()
-        kv = MiniKV(MiniKVConfig(stripes=4, strict_ttl=True), clock=clock)
+        kv = MiniKV(MiniKVConfig(stripes=4, ttl_algorithm="strict"), clock=clock)
         try:
             for i in range(40):
                 kv.set(f"k{i}", b"v", ttl=1.0)

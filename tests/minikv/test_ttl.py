@@ -143,7 +143,7 @@ def _populate(kv, total, short_ttl=300.0, long_ttl=432000.0):
 
 class TestLazyExpiryCycle:
     def test_leaves_stragglers_after_one_tick(self, clock):
-        kv = MiniKV(MiniKVConfig(strict_ttl=False, expiry_seed=1), clock=clock)
+        kv = MiniKV(MiniKVConfig(ttl_algorithm="lazy", expiry_seed=1), clock=clock)
         _populate(kv, 1000)
         clock.advance(301)
         kv.cron()
@@ -153,7 +153,7 @@ class TestLazyExpiryCycle:
         kv.close()
 
     def test_eventually_erases_everything(self, clock):
-        kv = MiniKV(MiniKVConfig(strict_ttl=False, expiry_seed=1), clock=clock)
+        kv = MiniKV(MiniKVConfig(ttl_algorithm="lazy", expiry_seed=1), clock=clock)
         _populate(kv, 500)
         clock.advance(301)
         for _ in range(100000):
@@ -170,7 +170,7 @@ class TestLazyExpiryCycle:
 
         def delay(total):
             c = VirtualClock()
-            kv = MiniKV(MiniKVConfig(strict_ttl=False, expiry_seed=2), clock=c)
+            kv = MiniKV(MiniKVConfig(ttl_algorithm="lazy", expiry_seed=2), clock=c)
             _populate(kv, total)
             c.advance(301)
             start = c.now()
@@ -183,7 +183,7 @@ class TestLazyExpiryCycle:
         assert delay(2000) > 2 * delay(500)
 
     def test_stats_track_activity(self, clock):
-        kv = MiniKV(MiniKVConfig(strict_ttl=False, expiry_seed=3), clock=clock)
+        kv = MiniKV(MiniKVConfig(ttl_algorithm="lazy", expiry_seed=3), clock=clock)
         _populate(kv, 200)
         clock.advance(301)
         kv.cron()
@@ -194,7 +194,7 @@ class TestLazyExpiryCycle:
 
 class TestStrictExpiryCycle:
     def test_single_tick_erases_all(self, clock):
-        kv = MiniKV(MiniKVConfig(strict_ttl=True), clock=clock)
+        kv = MiniKV(MiniKVConfig(ttl_algorithm="strict"), clock=clock)
         _populate(kv, 2000)
         clock.advance(301)
         erased = kv.cron()

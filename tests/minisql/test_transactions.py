@@ -1,5 +1,5 @@
-"""The transaction layer: begin/commit, lock declarations, execute_batch,
-and the sweeper's transaction-batched deletes."""
+"""The transaction layer: begin/commit, lock declarations, and the
+sweeper's transaction-batched deletes."""
 
 import pytest
 
@@ -12,8 +12,6 @@ from repro.minisql import (
     MiniSQLConfig,
     INTEGER,
     TEXT,
-    execute_batch,
-    statement_intent,
 )
 
 
@@ -120,52 +118,6 @@ class TestLockingModes:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigurationError):
             Database(MiniSQLConfig(locking="optimistic"))
-
-
-class TestExecuteBatch:
-    def test_batch_matches_sequential_results(self):
-        db = _db()
-        statements = [
-            "INSERT INTO t (id, v) VALUES (1, 'a')",
-            "INSERT INTO t (id, v) VALUES (2, 'b')",
-            "SELECT v FROM t WHERE id = 1",
-            "UPDATE t SET v = 'c' WHERE id = 2",
-            "SELECT COUNT(*) FROM t",
-            "DELETE FROM t WHERE id = 1",
-        ]
-        results = execute_batch(db, statements)
-        assert results[2] == [{"v": "a"}]
-        assert results[3] == 1
-        assert results[4] == 2
-        assert results[5] == 1
-        assert db.count("t") == 1
-
-    def test_ddl_runs_standalone_between_stretches(self):
-        db = _db()
-        results = execute_batch(db, [
-            "INSERT INTO t (id, v) VALUES (1, 'a')",
-            "CREATE TABLE u (id INTEGER NOT NULL, PRIMARY KEY (id))",
-            "INSERT INTO u (id) VALUES (5)",
-            "SELECT id FROM u",
-        ])
-        assert results[1] is None
-        assert results[3] == [{"id": 5}]
-
-    def test_statement_intent(self):
-        assert statement_intent("SELECT * FROM t WHERE id = 1") == ("select", "t", False)
-        assert statement_intent("INSERT INTO t (id) VALUES (1)") == ("insert", "t", True)
-        assert statement_intent("UPDATE t SET v = 'x'") == ("update", "t", True)
-        assert statement_intent("DELETE FROM t") == ("delete", "t", True)
-        assert statement_intent("VACUUM") == ("vacuum", None, True)
-        assert statement_intent("VACUUM t") == ("vacuum", "t", True)
-        assert statement_intent("CREATE TABLE u (id INTEGER)") == ("create", None, True)
-        assert statement_intent("EXPLAIN SELECT * FROM t") == ("explain", "t", False)
-
-    def test_string_literal_from_does_not_confuse_intent(self):
-        head, table, writes = statement_intent(
-            "SELECT v FROM t WHERE v = 'from'"
-        )
-        assert (head, table, writes) == ("select", "t", False)
 
 
 class TestSweeperBatching:

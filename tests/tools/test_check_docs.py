@@ -78,3 +78,63 @@ def test_repo_knob_tables_cover_every_config_field():
         with open(path, encoding="utf-8") as handle:
             texts[path] = handle.read()
     assert check_docs.check_knob_coverage(texts, fields) == []
+
+
+def test_repo_has_no_dead_names():
+    assert check_docs.check_dead_names() == []
+
+
+def _write(root, relpath, text):
+    path = root / relpath
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+@pytest.fixture
+def fake_repo(tmp_path):
+    """A package whose names cover every rule of the dead-name check."""
+    _write(tmp_path, "src/repro/__init__.py",
+           'from .mod import reexported\n__all__ = ["reexported"]\n')
+    _write(tmp_path, "src/repro/mod.py", (
+        "def helper():\n    return 1\n\n"
+        "def api():\n    return helper()\n\n"
+        "def reexported():\n    pass\n\n"
+        "def by_path():\n    pass\n\n"
+        "def by_getattr():\n    pass\n\n"
+        "def test_only():\n    pass\n\n"
+        "def kept():\n    pass\n\n"
+        "_DEAD_TABLE = {'a'}\n"
+    ))
+    _write(tmp_path, "tools/tool.py", "from repro.mod import api\napi()\n")
+    _write(tmp_path, "benchmarks/bench.py", (
+        'TARGET = "repro.mod:by_path"\n'
+        'import repro.mod\ngetattr(repro.mod, "by_getattr")()\n'
+    ))
+    _write(tmp_path, "tests/test_mod.py",
+           "from repro.mod import test_only\ntest_only()\n")
+    return tmp_path
+
+
+def _flagged(problems):
+    return {p.split(": ")[1].split()[0] for p in problems if "is used by" in p}
+
+
+def test_dead_names_flagged(fake_repo):
+    problems = check_docs.check_dead_names(
+        str(fake_repo), {"repro.mod:kept": "kept on purpose"})
+    # used in-module, by a tool, by path string or getattr: all live; a
+    # re-export, a test-only use and no use at all keep nothing alive
+    assert _flagged(problems) == {"reexported", "test_only", "_DEAD_TABLE"}
+    assert len(problems) == 3
+
+
+def test_stale_allowlist_entry_reported(fake_repo):
+    problems = check_docs.check_dead_names(str(fake_repo), {
+        "repro.mod:kept": "kept on purpose",
+        "repro.mod:api": "used after all",
+        "repro.mod:gone": "deleted since",
+    })
+    stale = [p for p in problems if "is stale" in p]
+    assert len(stale) == 2
+    assert any("repro.mod:api" in p for p in stale)
+    assert any("repro.mod:gone" in p for p in stale)

@@ -70,6 +70,21 @@ class TestCLI:
         assert proc.returncode != 0
         assert "shards must be 1" in proc.stderr
 
+    @pytest.mark.parametrize("engine, config_class", [
+        ("minikv", "MiniKVConfig"), ("minisql", "MiniSQLConfig"),
+    ])
+    def test_rejects_unknown_config_field(self, engine, config_class):
+        # e.g. a knob an older release accepted, left in an operator's config
+        proc = subprocess.run(
+            [sys.executable, SCRIPT, "--engine", engine,
+             "--config-json", '{"strict_ttl": true}'],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"unknown {config_class} field(s) strict_ttl" in proc.stderr
+        assert "valid fields:" in proc.stderr and "shards" in proc.stderr
+
     def test_once_serves_one_connection_then_exits(self, tmp_path):
         proc, host, port = start_server("--engine", "minikv", "--once")
         from repro.common.netshard import connect_shard
@@ -103,82 +118,15 @@ class TestCLI:
         proc.wait(timeout=10)
 
 
-class TestAsyncioLoop:
-    """``--loop asyncio``: one shared engine, concurrent fronts."""
-
-    def test_once_serves_one_connection_then_exits(self):
-        proc, host, port = start_server(
-            "--engine", "minikv", "--loop", "asyncio", "--once"
-        )
-        from repro.common.netshard import connect_shard
-
-        conn = connect_shard(host, port)
-        conn.send(("call", "set", ("k", b"v"), {}))
-        assert conn.recv() == ("ok", None)
-        conn.send(("stop",))
-        assert conn.recv() == ("ok", None)
-        conn.close()
-        assert proc.wait(timeout=10) == 0
-
-    def test_front_serves_through_asyncio_shards(self, tmp_path):
-        base = str(tmp_path / "kv.aof")
-        procs, addresses = [], []
-        try:
-            for i in range(2):
-                config = {"aof_path": shard_aof_path(base, i),
-                          "fsync": "always"}
-                proc, host, port = start_server(
-                    "--engine", "minikv", "--loop", "asyncio",
-                    "--config-json", json.dumps(config),
-                )
-                procs.append(proc)
-                addresses.append(f"{host}:{port}")
-            with make_front(base, tuple(addresses)) as kv:
-                for i in range(30):
-                    kv.set(f"k{i}", b"v%d" % i)
-                assert kv.dbsize() == 30
-                assert kv.get("k11") == b"v11"
-        finally:
-            for proc in procs:
-                proc.terminate()
-                proc.wait(timeout=10)
-
-    def test_concurrent_fronts_share_one_engine(self, tmp_path):
-        base = str(tmp_path / "kv.aof")
-        config = {"aof_path": shard_aof_path(base, 0), "fsync": "always"}
-        proc, host, port = start_server(
-            "--engine", "minikv", "--loop", "asyncio",
-            "--config-json", json.dumps(config),
-        )
-        addresses = (f"{host}:{port}",)
-        first = make_front(base, addresses)
-        second = make_front(base, addresses)
-        try:
-            # both fronts hold connections at once — the threaded loop
-            # serves one connection at a time, the asyncio loop any
-            # number — and they see one engine, not per-accept replays
-            first.set("ka", b"va")
-            second.set("kb", b"vb")
-            assert first.get("kb") == b"vb"
-            assert second.get("ka") == b"va"
-        finally:
-            first.close()
-            second.close()
-            proc.terminate()
-            proc.wait(timeout=10)
-
-
 class TestGracefulShutdown:
-    """SIGTERM: both loops exit 0 with acknowledged writes on disk."""
+    """SIGTERM: the server exits 0 with acknowledged writes on disk."""
 
-    @pytest.mark.parametrize("loop", ["threads", "asyncio"])
-    def test_sigterm_exits_zero_and_preserves_writes(self, tmp_path, loop):
+    def test_sigterm_exits_zero_and_preserves_writes(self, tmp_path):
         import signal
 
         base = str(tmp_path / "kv.aof")
         config = {"aof_path": shard_aof_path(base, 0), "fsync": "always"}
-        argv = ("--engine", "minikv", "--loop", loop,
-                "--config-json", json.dumps(config))
+        argv = ("--engine", "minikv", "--config-json", json.dumps(config))
         proc, host, port = start_server(*argv)
         with make_front(base, (f"{host}:{port}",)) as kv:
             kv.set("k", b"durable")

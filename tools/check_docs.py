@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Docs consistency checker: links resolve, knobs exist.
+"""Docs and code consistency checker: links resolve, knobs exist, no dead names.
 
-Two classes of drift this catches, both of which have bitten real
-projects' docs:
+The classes of drift this catches, all of which have bitten real
+projects:
 
 1. **Broken intra-repo markdown links** — every ``[text](target)`` whose
    target is a relative path must point at an existing file (external
@@ -17,8 +17,13 @@ projects' docs:
    ``ConfigClass.field``) somewhere in the checked docs, so a newly
    added knob cannot ship silently undocumented.  The knob tables in
    ``docs/architecture.md`` are the natural home.
+4. **Dead names** — every module-level name defined under ``src/repro/``
+   must be used by non-test code (``src/``, ``tools/``, ``benchmarks/``,
+   ``examples/``, ``perfbench/``), or be listed in
+   :data:`DEAD_NAME_ALLOWLIST` with a reason.  A name only ``tests/``
+   use is dead: delete it together with its tests.
 
-Checked files: ``README.md``, ``ROADMAP.md``, and every ``*.md`` under
+Checked docs: ``README.md``, ``ROADMAP.md``, and every ``*.md`` under
 ``docs/``.  Exits non-zero with a report when anything is broken.  Run
 from anywhere: paths resolve relative to the repo root (the parent of
 this file's directory).
@@ -28,6 +33,7 @@ Used by the ``docs`` CI job and by ``tests/tools/test_check_docs.py``.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import os
 import re
@@ -39,12 +45,33 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: spans with literal parens in URLs are not a pattern we use
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
+#: a string naming code: ``name``, ``pkg.module.name`` or ``pkg.module:name``
+_CODE_PATH_RE = re.compile(r"[A-Za-z_][\w.]*(:[A-Za-z_]\w*)?")
+
 #: a knob mention: ConfigClass.field_name
 _KNOB_RE = re.compile(r"\b(MiniKVConfig|MiniSQLConfig)\.([A-Za-z_][A-Za-z_0-9]*)")
 
 #: documentation files under the repo root to check
 DOC_FILES = ("README.md", "ROADMAP.md")
 DOCS_DIR = "docs"
+
+#: package whose module-level names the dead-name check covers
+DEAD_NAME_PACKAGE = os.path.join("src", "repro")
+#: directories of non-test code whose uses keep a name alive
+DEAD_NAME_CONSUMERS = ("src", "tools", "benchmarks", "examples", "perfbench")
+#: ``module:name`` -> why it stays although no non-test code uses it
+DEAD_NAME_ALLOWLIST = {
+    "repro.gdpr.compliance:requirements_for_action":
+        "paper Table 1, read by article: what one GDPR action requires",
+    "repro.gdpr.compliance:articles_for_attribute":
+        "paper Table 1, read by attribute: the articles behind one metadata field",
+    "repro.gdpr.record:ATTRIBUTE_ARTICLES":
+        "paper §3.2: the GDPR articles that motivate each metadata attribute",
+    "repro.gdpr.queries:FAMILIES":
+        "paper §3.3: the seven query families of the taxonomy",
+    "repro.gdpr.queries:queries_for_role":
+        "paper Figure 1: the queries each GDPR role may issue",
+}
 
 
 def _config_fields() -> dict[str, set[str]]:
@@ -127,6 +154,95 @@ def check_knob_coverage(texts: dict[str, str], fields: dict[str, set[str]]) -> l
     return problems
 
 
+def _python_files(root: str, directory: str) -> list[str]:
+    paths = []
+    for base, subdirs, files in os.walk(os.path.join(root, directory)):
+        subdirs[:] = sorted(d for d in subdirs if d != "__pycache__")
+        paths.extend(os.path.join(base, f) for f in sorted(files)
+                     if f.endswith(".py"))
+    return paths
+
+
+def _defined_names(tree: ast.Module) -> list[str]:
+    """Names a module binds at top level: defs, classes, assignments."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in names if not name.startswith("__")]
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Identifiers a module uses: loads, attributes, and code-path strings.
+
+    Strings count because dispatch tables, ``getattr`` and import-by-path
+    (``"pkg.module:name"``) name code by string.  Imports and ``__all__``
+    entries do not count: a re-export alone keeps nothing alive.
+    """
+    exported = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        for node in ast.walk(stmt.value)
+    }
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _CODE_PATH_RE.fullmatch(node.value) and id(node) not in exported):
+            used.update(re.split(r"[.:]", node.value))
+    return used
+
+
+def check_dead_names(root: str = REPO_ROOT,
+                     allowlist: dict[str, str] = DEAD_NAME_ALLOWLIST) -> list[str]:
+    """Module-level names under ``src/repro/`` that no non-test code uses.
+
+    A use anywhere in non-test code counts, the defining module included,
+    so module-internal helpers pass; a same-named identifier elsewhere
+    also counts, which keeps the check free of false alarms.  Allowlist
+    entries that no longer name a dead name are reported too, so the list
+    cannot rot.
+    """
+    def parse(path):
+        with open(path, encoding="utf-8") as handle:
+            return ast.parse(handle.read(), path)
+
+    used: set[str] = set()
+    for directory in DEAD_NAME_CONSUMERS:
+        for path in _python_files(root, directory):
+            if os.path.samefile(path, __file__):
+                continue  # the allowlist's own strings are no uses
+            used |= _used_names(parse(path))
+    dead = set()
+    problems = []
+    src = os.path.join(root, "src")
+    for path in _python_files(root, DEAD_NAME_PACKAGE):
+        module = os.path.relpath(path, src)[:-3].replace(os.sep, ".")
+        module = module.removesuffix(".__init__")
+        for name in _defined_names(parse(path)):
+            if name in used:
+                continue
+            dead.add(f"{module}:{name}")
+            if f"{module}:{name}" not in allowlist:
+                problems.append(
+                    f"{os.path.relpath(path, root)}: {name} is used by no "
+                    "non-test code: delete it (and its tests) or allowlist "
+                    "it in tools/check_docs.py with a reason"
+                )
+    for entry in sorted(set(allowlist) - dead):
+        problems.append(f"dead-name allowlist entry {entry} is stale: "
+                        "that name is used or gone")
+    return problems
+
+
 def main() -> int:
     fields = _config_fields()
     paths = _doc_paths()
@@ -142,6 +258,7 @@ def main() -> int:
         problems.extend(check_links(path, text))
         problems.extend(check_knobs(path, text, fields))
     problems.extend(check_knob_coverage(texts, fields))
+    problems.extend(check_dead_names())
     if problems:
         print(f"check_docs: {len(problems)} problem(s):", file=sys.stderr)
         for problem in problems:
@@ -149,7 +266,7 @@ def main() -> int:
         return 1
     print(
         f"check_docs: OK ({len(paths)} files; links resolve, documented "
-        "knobs exist, every config field is documented)"
+        "knobs exist, every config field is documented, no dead names)"
     )
     return 0
 

@@ -7,31 +7,25 @@ can live on other hosts (or be supervised independently).  A front
 configured with ``transport="tcp"`` and ``shard_addresses=[...]``
 connects here.
 
-Two serve loops:
+Each accepted connection gets a freshly constructed engine that replays
+this shard's persistence file first, exactly the respawn-replay recovery
+semantics of the in-router workers (see docs/sharding.md).  Connections
+are served one at a time.
 
-* ``--loop threads`` (default): the PR 7 shape — one connection at a
-  time, each accepted connection gets a freshly constructed engine that
-  replays this shard's persistence file first, exactly the
-  respawn-replay recovery semantics of the in-router workers (see
-  docs/sharding.md).
-* ``--loop asyncio``: an :class:`~repro.common.asyncserve.AsyncShardServer`
-  — one shared engine (persistence replayed once at startup), any number
-  of concurrent front connections multiplexed on one event loop, no
-  thread per connection (see docs/async-pipelining.md).
-
-Both loops shut down gracefully on SIGTERM/SIGINT: the listener closes,
-the in-flight request gets its reply, and the engine closes so its
-AOF/WAL flushes — a supervisor's ``terminate()`` never drops
-acknowledged writes.
+SIGTERM/SIGINT shut the server down gracefully: the listener closes, the
+in-flight request gets its reply, and the engine closes so its AOF/WAL
+flushes — a supervisor's ``terminate()`` never drops acknowledged
+writes.
 
 Usage::
 
     tools/shard_server.py --engine minikv  --port 7101 --config-json '{"aof_path": "/data/kv.aof.shard0", "fsync": "always"}'
-    tools/shard_server.py --engine minisql --port 7201 --config-json '{"wal_path": "/data/sql.wal.shard1"}' --loop asyncio
+    tools/shard_server.py --engine minisql --port 7201 --config-json '{"wal_path": "/data/sql.wal.shard1"}'
 
 The config JSON holds ``MiniKVConfig`` / ``MiniSQLConfig`` fields for
 **this one shard** (so persistence paths should already carry their
-``.shard<i>`` suffix; ``shards`` must stay 1).  The server prints
+``.shard<i>`` suffix; ``shards`` must stay 1; an unknown field is a
+usage error naming the valid ones).  The server prints
 ``listening on <host>:<port>`` once bound — with ``--port 0`` the kernel
 picks the port and the line is how a supervisor learns it.
 """
@@ -39,7 +33,7 @@ picks the port and the line is how a supervisor learns it.
 from __future__ import annotations
 
 import argparse
-import asyncio
+import dataclasses
 import json
 import os
 import signal
@@ -49,27 +43,32 @@ import threading
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from repro.common.asyncserve import AsyncShardServer  # noqa: E402
 from repro.common.errors import KVError, SQLError  # noqa: E402
 from repro.common.netshard import ShardServer  # noqa: E402
 
 
-def _build(engine: str, config_fields: dict):
-    """(engine factory, run_batch, error factory) for one engine family."""
+def _config_class(engine: str):
     if engine == "minikv":
         from repro.minikv.engine import MiniKVConfig
+
+        return MiniKVConfig
+    from repro.minisql.database import MiniSQLConfig
+
+    return MiniSQLConfig
+
+
+def _build(engine: str, config):
+    """(engine factory, run_batch, error factory) for one engine family."""
+    if engine == "minikv":
         from repro.minikv.sharded import _ShardBackend, _run_engine_batch
 
-        config = MiniKVConfig(**config_fields)
         return (lambda: _ShardBackend(config)), _run_engine_batch, KVError
-    from repro.minisql.database import MiniSQLConfig
     from repro.minisql.sharded import _ShardBackend, _run_statement_batch
 
-    config = MiniSQLConfig(**config_fields)
     return (lambda: _ShardBackend(config)), _run_statement_batch, SQLError
 
 
-def _serve_threads(args, engine_factory, run_batch, error_factory) -> int:
+def _serve(args, engine_factory, run_batch, error_factory) -> int:
     server = ShardServer(args.host, args.port, engine_factory, run_batch,
                          error_factory)
     stop = threading.Event()
@@ -93,31 +92,6 @@ def _serve_threads(args, engine_factory, run_batch, error_factory) -> int:
     return 0
 
 
-async def _serve_asyncio(args, engine_factory, run_batch, error_factory) -> int:
-    server = AsyncShardServer(engine_factory, run_batch, error_factory,
-                              host=args.host, port=args.port)
-    await server.start()
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        loop.add_signal_handler(signum, stop.set)
-    print(f"listening on {server.host}:{server.port}", flush=True)
-    if args.once:
-        done = asyncio.ensure_future(server.connection_done.wait())
-    else:
-        done = None
-    stopper = asyncio.ensure_future(stop.wait())
-    await asyncio.wait(
-        [task for task in (done, stopper) if task is not None],
-        return_when=asyncio.FIRST_COMPLETED,
-    )
-    for task in (done, stopper):
-        if task is not None:
-            task.cancel()
-    await server.shutdown()
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--engine", choices=("minikv", "minisql"),
@@ -128,25 +102,28 @@ def main(argv=None) -> int:
                         help="bind port (0 = kernel-assigned, printed on stdout)")
     parser.add_argument("--config-json", default="{}",
                         help="engine config fields for this shard, as JSON")
-    parser.add_argument("--loop", choices=("threads", "asyncio"),
-                        default="threads",
-                        help="serve loop: one-connection-at-a-time threads "
-                             "(fresh engine per connection) or an asyncio "
-                             "multiplexer (one shared engine)")
     parser.add_argument("--once", action="store_true",
                         help="serve a single connection then exit (tests)")
     args = parser.parse_args(argv)
 
-    config_fields = json.loads(args.config_json)
+    try:
+        config_fields = json.loads(args.config_json)
+    except json.JSONDecodeError as exc:
+        parser.error(f"--config-json is not valid JSON: {exc}")
+    if not isinstance(config_fields, dict):
+        parser.error("--config-json must be a JSON object of config fields")
+    config_class = _config_class(args.engine)
+    valid = sorted(f.name for f in dataclasses.fields(config_class))
+    unknown = sorted(set(config_fields) - set(valid))
+    if unknown:
+        parser.error(f"unknown {config_class.__name__} field(s) "
+                     f"{', '.join(unknown)}; valid fields: {', '.join(valid)}")
     if config_fields.get("shards", 1) != 1:
         parser.error("a shard server runs exactly one shard (shards must be 1)")
-    engine_factory, run_batch, error_factory = _build(args.engine, config_fields)
-
-    if args.loop == "asyncio":
-        return asyncio.run(
-            _serve_asyncio(args, engine_factory, run_batch, error_factory)
-        )
-    return _serve_threads(args, engine_factory, run_batch, error_factory)
+    engine_factory, run_batch, error_factory = _build(
+        args.engine, config_class(**config_fields)
+    )
+    return _serve(args, engine_factory, run_batch, error_factory)
 
 
 if __name__ == "__main__":
