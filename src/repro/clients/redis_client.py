@@ -106,8 +106,17 @@ class RedisClientPipeline(GDPRPipeline):
         client = self._client
         arm_ttl = client.features.timely_deletion
         pipe = client.engine.pipeline()
-        for _slot, kind, key, _payload in buffered:
+        # A key read passes the role gate before its HGETALL is queued: a
+        # denied slot must not reach the engine, whose read-audit trail
+        # would log personal data that is never returned.
+        denied: dict[int, Exception] = {}
+        for slot, kind, key, payload in buffered:
             if kind in ("read-data-by-key", "read-metadata-by-key"):
+                try:
+                    client.acl.check_operation(payload, kind)
+                except Exception as exc:  # captured per slot, batch continues
+                    denied[slot] = exc
+                    continue
                 pipe.hgetall(_REC_PREFIX + key)
                 continue
             redis_key = _YCSB_PREFIX + key
@@ -115,10 +124,10 @@ class RedisClientPipeline(GDPRPipeline):
                 pipe.hgetall(redis_key)
             elif kind == "update":
                 pipe.hmset_if_exists(
-                    redis_key, {f: v.encode() for f, v in _payload.items()}
+                    redis_key, {f: v.encode() for f, v in payload.items()}
                 )
             else:  # insert
-                pipe.hmset(redis_key, {f: v.encode() for f, v in _payload.items()})
+                pipe.hmset(redis_key, {f: v.encode() for f, v in payload.items()})
                 if arm_ttl:
                     pipe.expire(redis_key, client.YCSB_TTL_SECONDS)
         # errors ride in their result slots so one poisoned command
@@ -127,6 +136,10 @@ class RedisClientPipeline(GDPRPipeline):
         inserted: list[str] = []
         cursor = 0
         for slot, kind, key, payload in buffered:
+            if slot in denied:
+                responses[slot] = denied[slot]
+                errors.append(denied[slot])
+                continue
             result = raw[cursor]
             cursor += 1
             try:
@@ -151,7 +164,6 @@ class RedisClientPipeline(GDPRPipeline):
                 else:  # read-data-by-key / read-metadata-by-key
                     principal = payload
                     op = kind
-                    client.acl.check_operation(principal, op)
                     if not result:
                         responses[slot] = None
                         continue
@@ -347,23 +359,24 @@ class RedisGDPRClient(GDPRClient):
 
     @staticmethod
     def _record_from_fields(key: str, fields: dict[str, bytes]) -> PersonalRecord:
-        def text(name: str) -> str:
-            return fields.get(name, b"").decode()
-
-        def as_list(name: str) -> tuple:
-            raw = text(name)
-            return tuple(raw.split(",")) if raw else ()
-
+        # Runs once per record of every metadata scan: each field is
+        # fetched and decoded exactly once, with no per-field helper call.
+        get = fields.get
+        purposes = get("PUR", b"").decode()
+        ttl = get("TTL", b"").decode()
+        objections = get("OBJ", b"").decode()
+        decisions = get("DEC", b"").decode()
+        shared_with = get("SHR", b"").decode()
         return PersonalRecord(
-            key=key,
-            data=text("data"),
-            purposes=as_list("PUR"),
-            ttl_seconds=parse_ttl(text("TTL")) if text("TTL") else 0.0,
-            user=text("USR"),
-            objections=as_list("OBJ"),
-            decisions=as_list("DEC"),
-            shared_with=as_list("SHR"),
-            source=text("SRC"),
+            key,
+            get("data", b"").decode(),
+            tuple(purposes.split(",")) if purposes else (),
+            parse_ttl(ttl) if ttl else 0.0,
+            get("USR", b"").decode(),
+            tuple(objections.split(",")) if objections else (),
+            tuple(decisions.split(",")) if decisions else (),
+            tuple(shared_with.split(",")) if shared_with else (),
+            get("SRC", b"").decode(),
         )
 
     # -- client-side reverse indices (SET per attribute value) ------------
@@ -480,15 +493,17 @@ class RedisGDPRClient(GDPRClient):
             return None
         return self._record_from_fields(key, fields)
 
-    def _iter_records(self) -> Iterable[PersonalRecord]:
+    def _scan_fields(self) -> Iterable[tuple[str, dict[str, bytes]]]:
         """Full keyspace traversal — the only metadata 'index' Redis has.
 
-        Redis cannot filter on hash fields server-side, so every record
-        crosses the client<->server boundary on every metadata-conditioned
-        query: each HGETALL response is pushed through the wire layer.
-        This transfer amplification is the architectural reason the paper's
-        Redis runs GDPR workloads orders of magnitude slower than an RDBMS
-        that filters before shipping results.
+        Yields ``(record key, hash fields)`` for every record.  Redis
+        cannot filter on hash fields server-side, so every record crosses
+        the client<->server boundary on every metadata-conditioned query:
+        one HGETALL (one read-audit entry) per record, each response
+        pushed through the wire layer.  This transfer amplification is the
+        architectural reason the paper's Redis runs GDPR workloads orders
+        of magnitude slower than an RDBMS that filters before shipping
+        results.
         """
         cursor = 0
         while True:
@@ -497,9 +512,14 @@ class RedisGDPRClient(GDPRClient):
                 fields = self.engine.hgetall(redis_key)
                 if fields:
                     self._wire(fields)
-                    yield self._record_from_fields(redis_key[len(_REC_PREFIX):], fields)
+                    yield redis_key[len(_REC_PREFIX):], fields
             if cursor == 0:
                 return
+
+    def _iter_records(self) -> Iterable[PersonalRecord]:
+        """Every record, decoded, through :meth:`_scan_fields`."""
+        for key, fields in self._scan_fields():
+            yield self._record_from_fields(key, fields)
 
     # ------------------------------------------------------------------
     # Load phase
@@ -581,12 +601,11 @@ class RedisGDPRClient(GDPRClient):
         else:
             # Records tracked only by the EXP metadata field (covers
             # engine_ttl=False deployments); full scan, as a controller
-            # without indices must.
-            for record in list(self._iter_records()):
-                fields = self.engine.hgetall(_REC_PREFIX + record.key)
-                deadline = float(fields.get("EXP", b"inf"))
-                if deadline <= now:
-                    deleted += self.engine.delete(_REC_PREFIX + record.key)
+            # without indices must.  The deadline comes from the fields
+            # the scan already fetched: one read-audit entry per record.
+            for key, fields in list(self._scan_fields()):
+                if float(fields.get("EXP", b"inf")) <= now:
+                    deleted += self.engine.delete(_REC_PREFIX + key)
         self._wire(deleted)
         return deleted
 

@@ -42,13 +42,34 @@ class SecureChannel:
 
     def wrap(self, payload: bytes) -> bytes:
         """Frame + encrypt an outgoing message."""
-        header = self._HEADER.pack(self._tx_seq, len(payload))
-        body = self._tx.apply(payload, offset=self._offset(self._tx_seq))
-        self._tx_seq += 1
-        return header + body
+        return self._seal(payload)[0]
 
     def unwrap(self, frame: bytes) -> bytes:
         """Decrypt + verify an incoming message produced by :meth:`wrap`."""
+        return self._open(frame)
+
+    def round_trip(self, payload: bytes) -> bytes:
+        """``unwrap(wrap(payload))`` for a back-to-back pair, in one pass.
+
+        The same frame is built and every receiving-end check runs on it,
+        and every byte is still XORed twice (once per end).  Both ends
+        share the keystream pool and, message by message, the sequence
+        number, so the keystream window is sliced and converted once.
+        """
+        return self._open(*self._seal(payload))
+
+    def _seal(self, payload: bytes) -> tuple[bytes, int]:
+        """The frame for ``payload`` and the keystream window that sealed it."""
+        seq = self._tx_seq
+        length = len(payload)
+        window = int.from_bytes(self._tx.slice(self._offset(seq), length), "little")
+        body = (int.from_bytes(payload, "little") ^ window).to_bytes(length, "little")
+        self._tx_seq = seq + 1
+        return self._HEADER.pack(seq, length) + body, window
+
+    def _open(self, frame: bytes, window: int | None = None) -> bytes:
+        """Check and decrypt ``frame``; ``window`` is the sender's keystream
+        window when the sender is this channel's own back-to-back end."""
         if len(frame) < self._HEADER.size:
             raise ChannelError("short frame")
         seq, length = self._HEADER.unpack_from(frame)
@@ -57,8 +78,10 @@ class SecureChannel:
         body = frame[self._HEADER.size:]
         if len(body) != length:
             raise ChannelError("length mismatch")
-        plain = self._rx.apply(body, offset=self._offset(seq))
-        self._rx_seq += 1
+        if window is None:
+            window = int.from_bytes(self._rx.slice(self._offset(seq), length), "little")
+        plain = (int.from_bytes(body, "little") ^ window).to_bytes(length, "little")
+        self._rx_seq = seq + 1
         return plain
 
 
@@ -94,11 +117,9 @@ class LoopbackSecureLink:
     def to_server(self, payload: bytes) -> bytes:
         if not self.enabled:
             return payload
-        request, _ = self._channels()
-        return request.unwrap(request.wrap(payload))
+        return self._channels()[0].round_trip(payload)
 
     def to_client(self, payload: bytes) -> bytes:
         if not self.enabled:
             return payload
-        _, response = self._channels()
-        return response.unwrap(response.wrap(payload))
+        return self._channels()[1].round_trip(payload)

@@ -19,6 +19,7 @@ starts here).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from repro.common.errors import RecordFormatError
 
@@ -66,8 +67,15 @@ def format_ttl(seconds: float) -> str:
     return f"{seconds}s"
 
 
+@lru_cache(maxsize=1024)
 def parse_ttl(text: str) -> float:
-    """Parse ``365days`` / ``5min`` / ``300s`` into seconds."""
+    """Parse ``365days`` / ``5min`` / ``300s`` into seconds.
+
+    Cached: a pure function of its string, called once per record decoded
+    by every Redis metadata scan, over a corpus that uses a few TTL
+    spellings.  Malformed input raises on every call (errors are not
+    cached).
+    """
     text = text.strip()
     if not text:
         raise RecordFormatError("empty TTL")
@@ -108,12 +116,15 @@ class PersonalRecord:
     source: str = "first-party"
 
     def __post_init__(self):
+        # Every record a Redis metadata scan decodes passes through here,
+        # so the common case is one expression per field; a field that
+        # fails it goes through _check_ascii_field, which raises the error.
         if not self.key:
             raise RecordFormatError("record key must be non-empty")
-        _check_ascii_field("key", self.key)
-        _check_ascii_field("data", self.data)
-        _check_ascii_field("USR", self.user)
-        _check_ascii_field("SRC", self.source)
+        for name, value in (("key", self.key), ("data", self.data),
+                            ("USR", self.user), ("SRC", self.source)):
+            if not (value.isascii() and ";" not in value and "," not in value):
+                _check_ascii_field(name, value)
         for attr, values in (
             ("PUR", self.purposes),
             ("OBJ", self.objections),
@@ -123,7 +134,8 @@ class PersonalRecord:
             if not isinstance(values, tuple):
                 raise RecordFormatError(f"{attr} must be a tuple, got {values!r}")
             for value in values:
-                _check_ascii_field(attr, value)
+                if not (value.isascii() and ";" not in value and "," not in value):
+                    _check_ascii_field(attr, value)
         if self.ttl_seconds < 0:
             raise RecordFormatError("TTL must be >= 0")
 

@@ -755,12 +755,13 @@ class MiniKV:
         if type(value) is not HashValue:  # fast path for the hot read
             expect_type(value, "hash")
         out = dict(value.fields)
-        if self._aof is not None and self._aof.should_log("HGETALL"):
-            log_args = [key.encode()]
+        aof = self._aof
+        if aof is not None and aof.should_log("HGETALL"):
+            log_args = [b"HGETALL", key.encode()]
             for field, payload in out.items():
                 log_args.append(field.encode())
                 log_args.append(payload)
-            self._log("HGETALL", *log_args)
+            aof.append(log_args)
         return out
 
     def hdel(self, key: str, *fields: str) -> int:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.crypto.luks import AtRestCipher, FileCipher
 from repro.crypto.stream import KeystreamPool, StreamCipher, xor_bytes
 from repro.crypto.tls import ChannelError, LoopbackSecureLink, SecureChannel
+from tests import oracles
 
 
 class TestStreamCipher:
@@ -256,3 +257,53 @@ class TestSharedExpansion:
             "456db8986c17f81592f8aab0b7977b"))
         assert load_wal(str(wal), cipher=FileCipher()) == [
             ("insert", "t", 0, (1, "alice")), ("delete", "t", 0)]
+
+
+class TestFusedRoundTrip:
+    """``SecureChannel.round_trip`` (what the loopback link runs per
+    message) against the per-end reference in ``tests/oracles.py``."""
+
+    @given(st.lists(st.binary(max_size=300), max_size=12))
+    @settings(max_examples=60)
+    def test_matches_reference(self, payloads):
+        fused, reference = SecureChannel(), oracles.ReferenceChannel()
+        for payload in payloads:
+            assert fused.round_trip(payload) == payload
+            assert oracles.to_server(reference, payload) == payload
+            assert (fused._tx_seq, fused._rx_seq) == (reference._tx_seq, reference._rx_seq)
+
+    @given(st.lists(st.binary(max_size=300), max_size=12))
+    @settings(max_examples=60)
+    def test_frames_match_reference(self, payloads):
+        fused, reference = SecureChannel(b"k"), oracles.ReferenceChannel(b"k")
+        for payload in payloads:
+            frame = fused.wrap(payload)
+            assert frame == reference.wrap(payload)
+            assert fused.unwrap(frame) == reference.unwrap(frame) == payload
+
+    def test_same_corruptions_raise(self):
+        fused, reference = SecureChannel(), oracles.ReferenceChannel()
+        for channel in (fused, reference):
+            channel.wrap(b"lost")  # a frame the receiving end never saw
+        messages = []
+        for call in (fused.round_trip, lambda p: oracles.to_server(reference, p)):
+            with pytest.raises(ChannelError, match="sequence mismatch") as info:
+                call(b"next")
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert (fused._tx_seq, fused._rx_seq) == (reference._tx_seq, reference._rx_seq)
+        for frame in (b"abc", reference.wrap(b"hello-world")[:-3]):
+            with pytest.raises(ChannelError) as want:
+                oracles.ReferenceChannel().unwrap(frame)
+            with pytest.raises(ChannelError, match=str(want.value)):
+                SecureChannel().unwrap(frame)
+
+    def test_link_runs_one_round_trip_per_message(self, monkeypatch):
+        link = LoopbackSecureLink(enabled=True)
+        calls = []
+        original = SecureChannel.round_trip
+        monkeypatch.setattr(SecureChannel, "round_trip",
+                            lambda self, p: calls.append(p) or original(self, p))
+        assert link.to_server(b"req") == b"req"
+        assert link.to_client(b"resp") == b"resp"
+        assert calls == [b"req", b"resp"]
